@@ -1,15 +1,15 @@
 """Forward-mode automatic differentiation and numerical differentiation.
 
-Two scalar types implement forward mode: ``Dual`` carries a value plus a
-vector of first-order partials, ``Dual2`` additionally carries the full
-(symmetric) Hessian of the value with respect to the seeded inputs.  One
-evaluation of a function on ``Dual2`` seeds therefore yields value,
-gradient, and Hessian simultaneously.
+One scalar type implements forward mode: ``Dual2`` carries a value, the
+gradient and the full (symmetric) Hessian of that value with respect to
+the seeded inputs.  One evaluation of a function on ``Dual2`` seeds
+therefore yields value, gradient and Hessian together
+(``value_jacobian_hessian``).
 
 Functions differentiated in dual mode must be written against the
-dispatching helpers at the bottom of this module (``sin``, ``cos``,
-``sqrt``, ``atan2``, ``value``, ...) or the arithmetic operators, so the
-same code runs on plain floats and on dual scalars.  Central finite
+dispatching helpers of this module (``sin``, ``cos``, ``sqrt``,
+``atan2``, ``value``, ...) or the arithmetic operators, so the same code
+runs on plain floats and on ``Dual2`` scalars.  Central finite
 differences are provided as an independent cross-check and work with any
 float-valued function.
 """
@@ -22,105 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationFailure
-
-
-class Dual:
-    """Scalar with a vector of first-order partial derivatives."""
-
-    __slots__ = ("val", "grad")
-
-    def __init__(self, val, grad):
-        self.val = val
-        self.grad = grad
-
-    # arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val + other.val, self.grad + other.grad)
-        return Dual(self.val + other, self.grad)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val - other.val, self.grad - other.grad)
-        return Dual(self.val - other, self.grad)
-
-    def __rsub__(self, other):
-        return Dual(other - self.val, -self.grad)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val * other.val,
-                        self.val * other.grad + other.val * self.grad)
-        return Dual(self.val * other, other * self.grad)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            inv = 1.0 / other.val
-            return Dual(self.val * inv,
-                        (self.grad - (self.val * inv) * other.grad) * inv)
-        inv = 1.0 / other
-        return Dual(self.val * inv, self.grad * inv)
-
-    def __rtruediv__(self, other):
-        inv = 1.0 / self.val
-        v = other * inv
-        return Dual(v, (-v * inv) * self.grad)
-
-    def __neg__(self):
-        return Dual(-self.val, -self.grad)
-
-    def __pow__(self, p):
-        v = self.val ** p
-        return Dual(v, (p * self.val ** (p - 1)) * self.grad)
-
-    def __abs__(self):
-        return self if self.val >= 0.0 else -self
-
-    # ordering compares primal values only (branch selection)
-
-    def __lt__(self, other):
-        return self.val < _value(other)
-
-    def __le__(self, other):
-        return self.val <= _value(other)
-
-    def __gt__(self, other):
-        return self.val > _value(other)
-
-    def __ge__(self, other):
-        return self.val >= _value(other)
-
-    # elementary functions -------------------------------------------------
-
-    def sin(self):
-        return Dual(math.sin(self.val), math.cos(self.val) * self.grad)
-
-    def cos(self):
-        return Dual(math.cos(self.val), -math.sin(self.val) * self.grad)
-
-    def sqrt(self):
-        r = math.sqrt(self.val)
-        return Dual(r, (0.5 / r) * self.grad)
-
-    def arccos(self):
-        d = -1.0 / math.sqrt(1.0 - self.val * self.val)
-        return Dual(math.acos(self.val), d * self.grad)
-
-    @staticmethod
-    def atan2(y, x):
-        yv, xv = _value(y), _value(x)
-        r2 = xv * xv + yv * yv
-        gy = y.grad if isinstance(y, Dual) else 0.0
-        gx = x.grad if isinstance(x, Dual) else 0.0
-        return Dual(math.atan2(yv, xv), (xv * gy - yv * gx) / r2)
-
-    def __repr__(self):
-        return f"Dual({self.val!r}, grad={self.grad!r})"
 
 
 class Dual2:
@@ -189,16 +90,16 @@ class Dual2:
         return self if self.val >= 0.0 else -self
 
     def __lt__(self, other):
-        return self.val < _value(other)
+        return self.val < value(other)
 
     def __le__(self, other):
-        return self.val <= _value(other)
+        return self.val <= value(other)
 
     def __gt__(self, other):
-        return self.val > _value(other)
+        return self.val > value(other)
 
     def __ge__(self, other):
-        return self.val >= _value(other)
+        return self.val >= value(other)
 
     def _chain(self, f, df, d2f):
         """Unary chain rule: f(self) given f, f', f'' at the primal."""
@@ -225,7 +126,7 @@ class Dual2:
 
     @staticmethod
     def atan2(y, x):
-        yv, xv = _value(y), _value(x)
+        yv, xv = value(y), value(x)
         r2 = xv * xv + yv * yv
         fy, fx = xv / r2, -yv / r2
         fyy = -2.0 * xv * yv / r2 ** 2
@@ -245,49 +146,33 @@ class Dual2:
         return f"Dual2({self.val!r})"
 
 
-def _value(x):
-    if isinstance(x, (Dual, Dual2)):
-        return x.val
-    return x
-
-
-# --- dispatching scalar math (float / Dual / Dual2) ---
-
 def value(x):
-    """Primal value of a float or dual scalar."""
-    return _value(x)
+    """Primal value of a float or ``Dual2`` scalar."""
+    return x.val if isinstance(x, Dual2) else x
 
+
+# --- dispatching scalar math (float / Dual2) ---
 
 def sin(x):
-    return x.sin() if isinstance(x, (Dual, Dual2)) else math.sin(x)
+    return x.sin() if isinstance(x, Dual2) else math.sin(x)
 
 
 def cos(x):
-    return x.cos() if isinstance(x, (Dual, Dual2)) else math.cos(x)
+    return x.cos() if isinstance(x, Dual2) else math.cos(x)
 
 
 def sqrt(x):
-    return x.sqrt() if isinstance(x, (Dual, Dual2)) else math.sqrt(x)
+    return x.sqrt() if isinstance(x, Dual2) else math.sqrt(x)
 
 
 def arccos(x):
-    return x.arccos() if isinstance(x, (Dual, Dual2)) else math.acos(x)
+    return x.arccos() if isinstance(x, Dual2) else math.acos(x)
 
 
 def atan2(y, x):
     if isinstance(y, Dual2) or isinstance(x, Dual2):
         return Dual2.atan2(y, x)
-    if isinstance(y, Dual) or isinstance(x, Dual):
-        return Dual.atan2(y, x)
     return math.atan2(y, x)
-
-
-def seed_duals(x):
-    """First-order seeds for the entries of a point x in R^n."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    eye = np.eye(n)
-    return np.array([Dual(x[i], eye[i]) for i in range(n)], dtype=object)
 
 
 def seed_duals2(x):
@@ -331,22 +216,22 @@ def _call(f, x):
         raise EvaluationFailure(f"function raised at probe point: {exc}") from exc
 
 
-def jacobian_numeric(f, x, cfg=DiffConfig()):
-    """m x n Jacobian of f: R^n -> R^m at x.
-
-    In dual mode, f is evaluated once on seeded ``Dual`` scalars and must be
-    written against the dispatching math helpers of this module.  In fd
-    mode, f is probed with plain float vectors.
-    """
-    x = np.asarray(x, dtype=float)
+def _dual_pass(f, x):
+    """(value, Jacobian, symmetrized Hessian) from one ``Dual2`` evaluation."""
     n = x.shape[0]
-    if cfg.mode == "dual":
-        y = _call(f, seed_duals(x))
-        rows = []
-        for yi in y:
-            rows.append(yi.grad if isinstance(yi, Dual) else np.zeros(n))
-        return np.array(rows, dtype=float)
-    h = cfg.fd_step
+    y = _call(f, seed_duals2(x))
+    val = np.array([value(yi) for yi in y], dtype=float)
+    jac = np.zeros((y.shape[0], n))
+    hess = np.zeros((y.shape[0], n, n))
+    for k, yi in enumerate(y):
+        if isinstance(yi, Dual2):
+            jac[k] = yi.grad
+            hess[k] = 0.5 * (yi.hess + yi.hess.T)
+    return val, jac, hess
+
+
+def _fd_jacobian(f, x, h):
+    n = x.shape[0]
     cols = []
     for i in range(n):
         dx = np.zeros(n)
@@ -355,26 +240,8 @@ def jacobian_numeric(f, x, cfg=DiffConfig()):
     return np.array(cols, dtype=float).T
 
 
-def hessian_numeric(f, x, cfg=DiffConfig()):
-    """m x n x n Hessian tensor of f: R^n -> R^m at x.
-
-    Each output slice is symmetrized; dual mode produces it in a single
-    forward pass, fd mode uses the 4-point central second difference.
-    """
-    x = np.asarray(x, dtype=float)
+def _fd_hessian(f, x, h, m):
     n = x.shape[0]
-    if cfg.mode == "dual":
-        y = _call(f, seed_duals2(x))
-        slices = []
-        for yi in y:
-            if isinstance(yi, Dual2):
-                slices.append(0.5 * (yi.hess + yi.hess.T))
-            else:
-                slices.append(np.zeros((n, n)))
-        return np.array(slices, dtype=float)
-    h = cfg.fd_step
-    f0 = _call(f, x)
-    m = f0.shape[0]
     hess = np.zeros((m, n, n))
     for i in range(n):
         for j in range(i, n):
@@ -388,3 +255,43 @@ def hessian_numeric(f, x, cfg=DiffConfig()):
             hess[:, i, j] = d
             hess[:, j, i] = d
     return hess
+
+
+def value_jacobian_hessian(f, x, cfg=DiffConfig()):
+    """(f(x), m x n Jacobian, m x n x n Hessian) of f: R^n -> R^m at x.
+
+    Dual mode evaluates f once on ``Dual2`` seeds; fd mode evaluates f at x
+    and then takes the central differences of ``jacobian_numeric`` and
+    ``hessian_numeric``.
+    """
+    x = np.asarray(x, dtype=float)
+    if cfg.mode == "dual":
+        return _dual_pass(f, x)
+    y = _call(f, x)
+    return (y, _fd_jacobian(f, x, cfg.fd_step),
+            _fd_hessian(f, x, cfg.fd_step, y.shape[0]))
+
+
+def jacobian_numeric(f, x, cfg=DiffConfig()):
+    """m x n Jacobian of f: R^n -> R^m at x.
+
+    In dual mode, f is evaluated once on seeded ``Dual2`` scalars and must
+    be written against the dispatching math helpers of this module.  In fd
+    mode, f is probed with plain float vectors.
+    """
+    x = np.asarray(x, dtype=float)
+    if cfg.mode == "dual":
+        return _dual_pass(f, x)[1]
+    return _fd_jacobian(f, x, cfg.fd_step)
+
+
+def hessian_numeric(f, x, cfg=DiffConfig()):
+    """m x n x n Hessian tensor of f: R^n -> R^m at x.
+
+    Each output slice is symmetrized; dual mode produces it in a single
+    forward pass, fd mode uses the 4-point central second difference.
+    """
+    x = np.asarray(x, dtype=float)
+    if cfg.mode == "dual":
+        return _dual_pass(f, x)[2]
+    return _fd_hessian(f, x, cfg.fd_step, _call(f, x).shape[0])

@@ -261,7 +261,7 @@ def main(argv=None):
                  if k not in ("command", "config", "in_dataset")}
     try:
         cfg = load_pipeline_config(args.config, overrides)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

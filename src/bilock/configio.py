@@ -54,6 +54,22 @@ class PipelineConfig:
             raise ValueError("perturbation level must be 0..3")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        for name in ("window", "stride", "knot_stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.max_episodes < 0:
+            raise ValueError("max_episodes must be non-negative (0: all)")
+        for name in ("rank_tol", "fd_step"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if self.distribution == "custom":
+            try:
+                self.box_distribution()
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    "distribution custom needs custom_distribution with "
+                    "x_range, y_range and theta_range, each [lo, hi] with "
+                    "lo < hi") from exc
 
     def box_distribution(self):
         if self.distribution == "train":

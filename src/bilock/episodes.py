@@ -136,6 +136,10 @@ def read_episodes(path, return_header=False):
                 raise MalformedRecord(str(exc), lineno) from exc
     if header is None:
         raise MalformedRecord("missing dataset header", 1)
+    if header.get("n_episodes") != len(episodes):
+        raise MalformedRecord(
+            f"header declares n_episodes={header.get('n_episodes')!r} but "
+            f"{len(episodes)} episode records follow", 1)
     if return_header:
         return episodes, header
     return episodes

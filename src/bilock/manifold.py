@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bimanual as bm
 from . import geometry as geo
 from . import kinematics as kin
-from .autodiff import DiffConfig, hessian_numeric, jacobian_numeric
+from .autodiff import DiffConfig, jacobian_numeric, value_jacobian_hessian
 from .errors import NoTransportPhase, RankDeficient
 
 RANK_TOL = 1e-8
@@ -33,22 +32,17 @@ class ConstraintFunction:
     """Vector constraint map with a scalar-generic evaluation path.
 
     The wrapped function must accept a 1-D array of plain floats or of
-    dual scalars and return a sequence of scalars of matching kind; that
-    single entry point feeds both derivative engines.
+    ``Dual2`` scalars and return a sequence of scalars of matching kind;
+    that single entry point feeds both derivative engines.
     """
 
-    def __init__(self, fn, n_inputs, n_outputs, model=None, reference_rel=None):
+    def __init__(self, fn, n_inputs, n_outputs):
         self._fn = fn
         self.n_inputs = n_inputs
         self.n_outputs = n_outputs
-        self.model = model
-        self.reference_rel = reference_rel
 
     def __call__(self, q):
-        out = self._fn(np.asarray(q))
-        if isinstance(out, np.ndarray) and out.dtype == object:
-            return out
-        return np.asarray(out, dtype=float) if not isinstance(out, np.ndarray) else out
+        return np.asarray(self._fn(np.asarray(q)))
 
     def residual_norm(self, q):
         return float(np.linalg.norm(self(np.asarray(q, dtype=float))))
@@ -59,34 +53,27 @@ def make_constraint(model, q0):
 
     First three components: relative translation offset (meters); last
     three: rotation vector of the relative-rotation discrepancy (radians).
-    Zero exactly at q0 and wherever the locked transform is preserved.
+    The anchor is computed by the same code as the residual, so the
+    residual is exactly 0.0 at q0 (as a float and as a ``Dual2`` value) and
+    zero wherever the locked transform is preserved.
     """
-    q0 = np.asarray(q0, dtype=float).reshape(14)
-    x0 = bm.relative_of_q14(model, q0)
-    r0 = x0.rotation.mat
-    p0 = x0.translation
-    r0_list = [[float(v) for v in row] for row in r0]
-    p0_list = [float(v) for v in p0]
+    def relative(q):
+        """Left gripper in the right gripper frame: (nested-list R, list p)."""
+        rl, tl = kin.forward_kinematics_generic(model.left, q[:7])
+        rr, tr = kin.forward_kinematics_generic(model.right, q[7:14])
+        d = [tl[0] - tr[0], tl[1] - tr[1], tl[2] - tr[2]]
+        return (geo.gmat_mul(geo.gmat_transpose(rr), rl),
+                geo.gmat_t_vec(rr, d))
+
+    r0, p0 = relative(np.asarray(q0, dtype=float).reshape(14))
+    r0_t = geo.gmat_transpose(r0)
 
     def fn(q):
-        if isinstance(q, np.ndarray) and q.dtype == object:
-            rl, tl = kin.forward_kinematics_generic(model.left, q[:7])
-            rr, tr = kin.forward_kinematics_generic(model.right, q[7:14])
-            # relative transform: left gripper in the right gripper frame
-            d = [tl[0] - tr[0], tl[1] - tr[1], tl[2] - tr[2]]
-            p = geo.gmat_t_vec(rr, d)
-            rx = geo.gmat_mul(geo.gmat_transpose(rr), rl)
-            rres = geo.gmat_mul(geo.gmat_transpose(r0_list), rx)
-            w = geo.gso3_log(rres)
-            return np.array([p[0] - p0_list[0], p[1] - p0_list[1],
-                             p[2] - p0_list[2], w[0], w[1], w[2]],
-                            dtype=object)
-        q = np.asarray(q, dtype=float)
-        x = bm.relative_of_q14(model, q)
-        w = geo.so3_log(r0.T @ x.rotation.mat)
-        return np.concatenate([x.translation - p0, w])
+        rx, p = relative(q)
+        w = geo.gso3_log(geo.gmat_mul(r0_t, rx))
+        return [p[0] - p0[0], p[1] - p0[1], p[2] - p0[2], w[0], w[1], w[2]]
 
-    return ConstraintFunction(fn, 14, 6, model=model, reference_rel=x0)
+    return ConstraintFunction(fn, 14, 6)
 
 
 def constraint_for_episode(model, episode):
@@ -110,10 +97,8 @@ class ManifoldFrame:
     cond_j: float
 
 
-def frame_at(f, q, cfg=DiffConfig(), rank_tol=RANK_TOL):
-    """Tangent/normal bases from a rank-revealing SVD of the Jacobian."""
-    q = np.asarray(q, dtype=float)
-    jac = jacobian_numeric(f, q, cfg)
+def _frame(q, jac, rank_tol):
+    """Tangent/normal split from a rank-revealing SVD of the Jacobian."""
     m = jac.shape[0]
     _, s, vt = np.linalg.svd(jac, full_matrices=True)
     if s[m - 1] <= rank_tol:
@@ -121,6 +106,12 @@ def frame_at(f, q, cfg=DiffConfig(), rank_tol=RANK_TOL):
     return ManifoldFrame(q=q, jac=jac, tangent_basis=vt[m:].T,
                          normal_basis=vt[:m].T, sigma_min=float(s[m - 1]),
                          cond_j=float(s[0] / s[m - 1]))
+
+
+def frame_at(f, q, cfg=DiffConfig(), rank_tol=RANK_TOL):
+    """Tangent/normal bases of the level set of f through q."""
+    q = np.asarray(q, dtype=float)
+    return _frame(q, jacobian_numeric(f, q, cfg), rank_tol)
 
 
 def second_fundamental_form(frame, hess):
@@ -153,17 +144,19 @@ def riemann_and_kretschmann(f, q, cfg=DiffConfig(), rank_tol=RANK_TOL):
 
     Gauss equation in the flat ambient metric:
     R_ijkl = <II_ik, II_jl> - <II_il, II_jk>.  Off the manifold the level
-    set through q is measured and the residual norm reported.
+    set through q is measured and the residual norm reported.  Residual,
+    Jacobian and Hessian come from one derivative call: a single ``Dual2``
+    evaluation of f in dual mode.
     """
     q = np.asarray(q, dtype=float)
-    frame = frame_at(f, q, cfg, rank_tol)
-    hess = hessian_numeric(f, q, cfg)
+    val, jac, hess = value_jacobian_hessian(f, q, cfg)
+    frame = _frame(q, jac, rank_tol)
     ii = second_fundamental_form(frame, hess)
     riemann = (np.einsum("ika,jla->ijkl", ii, ii)
                - np.einsum("ila,jka->ijkl", ii, ii))
     return CurvatureResult(kretschmann=float(np.sum(riemann * riemann)),
                            riemann=riemann,
-                           residual_norm=f.residual_norm(q),
+                           residual_norm=float(np.linalg.norm(val)),
                            frame=frame)
 
 
@@ -192,21 +185,3 @@ def rollout_curvature_series(f, episode, cfg=DiffConfig(), rank_tol=RANK_TOL,
                         "cond_j": res.frame.cond_j})
     return records, gaps
 
-
-def curvature_offset_slope(f, q, cfg=DiffConfig(), eps_list=(1e-4, 3e-4, 1e-3, 3e-3)):
-    """Diagnostic probe: log-log slope of |K(q + eps n) - K(q)| vs eps.
-
-    n is the first normal direction at q.  Reported, never asserted: the
-    leading order of the off-manifold error is an empirical question.
-    """
-    q = np.asarray(q, dtype=float)
-    base = riemann_and_kretschmann(f, q, cfg)
-    n = base.frame.normal_basis[:, 0]
-    eps = np.asarray(eps_list, dtype=float)
-    dk = np.array([abs(riemann_and_kretschmann(f, q + e * n, cfg).kretschmann
-                       - base.kretschmann) for e in eps])
-    mask = dk > 0
-    if mask.sum() < 2:
-        return float("nan")
-    slope = np.polyfit(np.log(eps[mask]), np.log(dk[mask]), 1)[0]
-    return float(slope)

@@ -280,16 +280,6 @@ class TaskWorld:
         return events
 
 
-def step_world(world, model, state_prev, state_cmd):
-    """Apply one commanded state to the world; returns (world, events).
-
-    The kinematic world tracks commands exactly, so state_prev does not
-    influence the transition; it is kept for transition-function symmetry.
-    """
-    del state_prev
-    return world, world.step(model, state_cmd)
-
-
 # --- chunked execution ---
 
 class ReplayStream:

@@ -57,9 +57,30 @@ def test_missing_model_file_is_config_error(tmp_path, capsys):
     assert "/nonexistent/arm.json" in capsys.readouterr().err
 
 
-def test_bad_config_value_is_config_error(tmp_path):
-    code = run(["gen", "--out-dir", str(tmp_path / "x"), "--n", "0"])
-    assert code == cli.EXIT_CONFIG
+def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
+    flipped = tmp_path / "flipped.json"
+    flipped.write_text(json.dumps({
+        "distribution": "custom",
+        "custom_distribution": {"x_range": [0.2, -0.2], "y_range": [0.5, 0.6],
+                                "theta_range": [-0.1, 0.1]}}))
+    text_window = tmp_path / "text_window.json"
+    text_window.write_text(json.dumps({"window": "16"}))
+    data = str(clean_run / "episodes.jsonl")
+    cases = [["gen", "--n", "0"],
+             ["gen", "--distribution", "custom"],
+             ["--config", str(flipped), "gen"],
+             ["gen", "--window", "0"],
+             ["--config", str(text_window), "gen"],
+             ["gen", "--stride", "0"],
+             ["curvature", "--in", data, "--knot-stride", "0"],
+             ["curvature", "--in", data, "--max-episodes", "-1"],
+             ["curvature", "--in", data, "--rank-tol", "0"],
+             ["curvature", "--in", data, "--fd-step", "0"]]
+    for args in cases:
+        code = run(args + ["--out-dir", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG, args
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
 def test_config_file_and_flag_precedence(tmp_path):

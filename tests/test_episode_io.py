@@ -40,6 +40,19 @@ def test_truncated_line_reports_line_number(tmp_path, clean_set):
     assert exc.value.line == 4  # header + episodes 1..2 are fine
 
 
+def test_missing_record_is_malformed(tmp_path, clean_set):
+    """A file cut at a line boundary still holds fewer episodes than its
+    header declares."""
+    path = tmp_path / "eps.jsonl"
+    write_episodes(path, clean_set[:3])
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(MalformedRecord) as exc:
+        read_episodes(path)
+    assert exc.value.line == 1
+    assert "n_episodes=3" in str(exc.value)
+
+
 def test_unknown_schema_rejected(tmp_path, clean_set):
     path = tmp_path / "eps.jsonl"
     write_episodes(path, clean_set[:1])

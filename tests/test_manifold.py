@@ -32,11 +32,32 @@ def sphere(r, n):
 
 
 def test_constraint_zero_at_anchor(model):
+    """The anchor comes from the residual's own code, so the residual there
+    is exactly zero, from the float path and from a Dual2 pass alike."""
     rng = np.random.default_rng(50)
     for _ in range(5):
         q0 = random_q14(model, rng, scale=0.7)
         f = mf.make_constraint(model, q0)
-        assert f.residual_norm(q0) <= 1e-12
+        assert np.array_equal(f(q0), np.zeros(6))
+        assert mf.riemann_and_kretschmann(f, q0).residual_norm == 0.0
+
+
+def test_constraint_matches_numpy_reference(model):
+    """The scalar-generic float path agrees with the numpy kinematics."""
+    from bilock import geometry as geo
+
+    rng = np.random.default_rng(57)
+    for _ in range(20):
+        q0 = random_q14(model, rng, scale=0.7)
+        f = mf.make_constraint(model, q0)
+        x0 = bm.relative_of_q14(model, q0)
+        for q in (random_q14(model, rng, scale=0.7),
+                  q0 + rng.normal(scale=0.05, size=14)):
+            x = bm.relative_of_q14(model, q)
+            want = np.concatenate([
+                x.translation - x0.translation,
+                geo.so3_log(x0.rotation.mat.T @ x.rotation.mat)])
+            assert np.abs(f(q) - want).max() <= 1e-12
 
 
 def test_constraint_tracks_subordinate_translation(model, world_cfg):
@@ -254,6 +275,20 @@ def test_kretschmann_dual_vs_fd(model):
     assert abs(kd - kf) <= 1e-4 * kd
 
 
+def test_one_constraint_evaluation_per_knot(model, clean_episode):
+    """Dual mode takes residual, Jacobian and Hessian from one pass."""
+    f = mf.constraint_for_episode(model, clean_episode)
+    calls = []
+
+    def counted(q):
+        calls.append(1)
+        return f(q)
+
+    records, gaps = mf.rollout_curvature_series(
+        mf.ConstraintFunction(counted, 14, 6), clean_episode, knot_stride=5)
+    assert len(calls) == len(records) + len(gaps) > 0
+
+
 def test_rollout_series_clean(model, clean_episode):
     f = mf.constraint_for_episode(model, clean_episode)
     records, gaps = mf.rollout_curvature_series(f, clean_episode)
@@ -284,10 +319,3 @@ def test_rollout_requires_transport(model, clean_episode):
     with pytest.raises(NoTransportPhase):
         mf.rollout_curvature_series(f, ep)
 
-
-def test_offset_slope_probe_is_finite(model):
-    rng = np.random.default_rng(55)
-    q0 = random_q14(model, rng, scale=0.5)
-    f = mf.make_constraint(model, q0)
-    slope = mf.curvature_offset_slope(f, q0)
-    assert np.isfinite(slope)

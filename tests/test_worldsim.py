@@ -199,14 +199,13 @@ def test_never_closing_grippers_produces_no_events(model, world_cfg,
 
 
 def test_step_world_transition_function(model, world_cfg, clean_episode):
-    """The module-level transition applies the commanded state and returns
-    (world, events); the previous state plays no role in a kinematic world."""
+    """One commanded state with both grippers closed on the box attaches it
+    and reports both attach events, left before right."""
     world = ws.TaskWorld(world_cfg, clean_episode.metadata["box_init"])
     grasp_knot = max(i for i, s in enumerate(clean_episode.steps)
                      if s.phase == "grasp")  # grippers fully closed here
     cmd = bm.BimanualState.from_vector(clean_episode.steps[grasp_knot].act)
-    world2, events = ws.step_world(world, model, None, cmd)
-    assert world2 is world
+    events = world.step(model, cmd)
     assert [(k, a) for k, a in events] == [(GRASP_ATTACH, "left"),
                                            (GRASP_ATTACH, "right")]
     assert world.attach_state == "grasped"
