@@ -70,13 +70,10 @@ def cmd_gen(cfg):
     seeds = [s for _, s, _ in results]
     write_episodes(out / "episodes.jsonl", episodes,
                    {"config_hash": cfg.config_hash()})
-    config = cfg.canonical_dict()
-    config.pop("out_dir")  # semantic config only: outputs are location-free
-    config.pop("workers")
     _dump_json(out / "manifest.json", {
         "schema_version": "manifest_v1",
         "config_hash": cfg.config_hash(),
-        "config": config,
+        "config": cfg.canonical_dict(),
         "episode_seeds": seeds,
         "n_episodes": len(episodes),
     })

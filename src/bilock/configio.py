@@ -81,21 +81,21 @@ class PipelineConfig:
                                       tuple(d["theta_range"]))
 
     def canonical_dict(self):
+        """The semantic configuration.
+
+        The output directory and worker count do not influence results,
+        so they are excluded: re-runs elsewhere or with different
+        parallelism describe and hash identically.
+        """
         d = asdict(self)
+        del d["out_dir"], d["workers"]
         d["schema_version"] = PIPELINE_SCHEMA
         return d
 
     def config_hash(self):
-        """Hash of the semantic configuration.
-
-        The output directory and worker count do not influence results,
-        so they are excluded: re-runs elsewhere or with different
-        parallelism hash identically.
-        """
-        d = self.canonical_dict()
-        d.pop("out_dir")
-        d.pop("workers")
-        blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
+        """Hash of the semantic configuration."""
+        blob = json.dumps(self.canonical_dict(), sort_keys=True,
+                          separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

@@ -8,6 +8,7 @@ a loaded dataset is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,9 +72,6 @@ class Episode:
     def transport_indices(self):
         return [i for i, s in enumerate(self.steps) if s.phase == "transport"]
 
-    def phase_of(self, t):
-        return self.steps[t].phase
-
 
 def episode_to_record(ep):
     steps = [{"t": s.t, "obs": s.obs.tolist(), "act": s.act.tolist(),
@@ -90,9 +88,33 @@ def episode_from_record(rec):
             f"unsupported episode schema {rec.get('schema_version')!r}")
     steps = [Step(s["t"], s["obs"], s["act"], s["phase"], s["lock"])
              for s in rec["steps"]]
+    for s in steps:
+        if not all(0.0 <= g <= 1.0 for g in (*s.obs[14:], *s.act[14:])):
+            raise ValueError(f"step {s.t}: gripper channels must lie in [0, 1]")
     events = [Event(e["t"], e["kind"], e.get("arm")) for e in rec["events"]]
-    return Episode(rec["model_ref"], rec["dt"], steps, events,
-                   rec.get("metadata", {}))
+    metadata = rec.get("metadata", {})
+    _check_metadata(metadata)
+    return Episode(rec["model_ref"], rec["dt"], steps, events, metadata)
+
+
+def _is_number(v):
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _check_metadata(meta):
+    """The metadata the stages read: box pose, control arm, SEW angles."""
+    box = meta.get("box_init")
+    if not (isinstance(box, list) and len(box) == 3
+            and all(_is_number(v) for v in box)):
+        raise ValueError(f"metadata box_init must be 3 numbers, got {box!r}")
+    if meta.get("control_arm") not in ("left", "right"):
+        raise ValueError("metadata control_arm must be 'left' or 'right', "
+                         f"got {meta.get('control_arm')!r}")
+    for key in ("psi_left", "psi_right"):
+        if not _is_number(meta.get(key)):
+            raise ValueError(f"metadata {key} must be a number, "
+                             f"got {meta.get(key)!r}")
 
 
 def _dumps(obj):
@@ -132,7 +154,7 @@ def read_episodes(path, return_header=False):
                 episodes.append(episode_from_record(rec))
             except SchemaMismatch:
                 raise
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise MalformedRecord(str(exc), lineno) from exc
     if header is None:
         raise MalformedRecord("missing dataset header", 1)

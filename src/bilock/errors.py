@@ -51,10 +51,6 @@ class PathInfeasible(BilockError):
     """A scripted waypoint segment has no IK solution on the fixed branch."""
 
 
-class StreamExhausted(BilockError):
-    """Action stream has no further chunks."""
-
-
 class SchemaMismatch(BilockError):
     """Serialized record carries an unsupported schema version."""
 

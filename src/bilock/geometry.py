@@ -231,18 +231,7 @@ def pose_exp(xi):
     return Pose(Rotation.from_axis_angle(xi[3:]), xi[:3])
 
 
-def pose_errors(p1, p2):
-    """(position, rotation) distance pair between two poses."""
-    dp = float(np.linalg.norm(p1.translation - p2.translation))
-    dr = geodesic_distance(p1.rotation, p2.rotation)
-    return dp, dr
-
-
 # --- scalar-generic 3x3 math on nested lists (floats or dual scalars) ---
-
-def gmat_identity():
-    return [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-
 
 def gmat_mul(a, b):
     return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]

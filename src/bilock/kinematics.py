@@ -343,20 +343,23 @@ def _pose_from_config(node):
 
 
 def arm_model_from_dict(cfg):
+    """ArmModel from an arm_model_v1 document; the dataclass holds the
+    defaults of the optional keys."""
     if cfg.get("schema_version") != "arm_model_v1":
         raise ValueError(
             f"unsupported arm model schema {cfg.get('schema_version')!r}")
-    return ArmModel(
-        name=cfg["name"],
-        base_pose=_pose_from_config(cfg["base_pose"]),
-        joint_offsets=[_pose_from_config(n) for n in cfg["joint_offsets"]],
-        joint_axes=np.asarray(cfg["joint_axes"], dtype=float),
-        joint_limits=np.deg2rad(np.asarray(cfg["joint_limits_deg"], dtype=float)),
-        structure_tag=cfg.get("structure_tag", "S-R-S"),
-        sew_pole=np.asarray(cfg.get("sew_pole", [-1.0, 0.0, 0.0]), dtype=float),
-        sew_zero_dir=np.asarray(cfg.get("sew_zero_dir", [0.0, 0.0, 1.0]),
-                                dtype=float),
-    )
+    values = {k: v for k, v in cfg.items() if k != "schema_version"}
+    try:
+        values["base_pose"] = _pose_from_config(values["base_pose"])
+        values["joint_offsets"] = [_pose_from_config(n)
+                                   for n in values["joint_offsets"]]
+        values["joint_limits"] = np.deg2rad(
+            np.asarray(values.pop("joint_limits_deg"), dtype=float))
+        return ArmModel(**values)
+    except KeyError as exc:
+        raise ValueError(f"arm model lacks key {exc}") from exc
+    except (AttributeError, TypeError) as exc:  # an unknown key, a wrong type
+        raise ValueError(f"arm model: {exc}") from exc
 
 
 def load_arm_model(path):

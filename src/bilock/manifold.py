@@ -36,10 +36,8 @@ class ConstraintFunction:
     that single entry point feeds both derivative engines.
     """
 
-    def __init__(self, fn, n_inputs, n_outputs):
+    def __init__(self, fn):
         self._fn = fn
-        self.n_inputs = n_inputs
-        self.n_outputs = n_outputs
 
     def __call__(self, q):
         return np.asarray(self._fn(np.asarray(q)))
@@ -73,7 +71,7 @@ def make_constraint(model, q0):
         w = geo.gso3_log(geo.gmat_mul(r0_t, rx))
         return [p[0] - p0[0], p[1] - p0[1], p[2] - p0[2], w[0], w[1], w[2]]
 
-    return ConstraintFunction(fn, 14, 6)
+    return ConstraintFunction(fn)
 
 
 def constraint_for_episode(model, episode):

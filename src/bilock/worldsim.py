@@ -1,4 +1,4 @@
-"""Rule-based kinematic world, scripted demonstrations, chunked execution.
+"""Rule-based kinematic world, scripted demonstrations, action execution.
 
 The world replaces contact physics with attachment rules: the box rigidly
 follows the control gripper while grasped; a gripper whose pose error
@@ -12,6 +12,10 @@ The scripted generator stands in for the human teleoperator: approach
 above the box, descend, lock the transform, close, lift, carry to the
 shelf, insert, open, unlock, retreat, with per-seed timing jitter for
 data diversity.
+
+Generation and replay share one first-order-hold executor over a known
+action array: between knots the command is linearly interpolated at
+``substeps`` world evaluations.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ from . import bimanual as bm
 from . import kinematics as kin
 from .episodes import (BOX_DROP, GRASP_ATTACH, GRASP_DETACH, PLACED, Episode,
                        Event, Step)
-from .errors import (BilockError, PathInfeasible, StreamExhausted,
-                     UnreachableGrasp)
+from .errors import BilockError, PathInfeasible, UnreachableGrasp
 from .geometry import Pose, Rotation, geodesic_distance, so3_exp, so3_log
 from .seeding import rng_from
 
@@ -103,41 +106,32 @@ class WorldConfig:
                 raise ValueError("world thresholds must be positive")
         if self.control_arm not in ("left", "right"):
             raise ValueError("control_arm must be 'left' or 'right'")
+        if not (isinstance(self.substeps, int) and self.substeps >= 1):
+            raise ValueError("substeps must be an integer >= 1")
+        if not self.dt > 0.0:
+            raise ValueError("dt must be positive")
 
     def psi(self, side):
         return self.psi_left if side == "left" else self.psi_right
 
 
 def world_config_from_dict(cfg):
+    """WorldConfig from a task_world_v1 document.  The dataclass holds every
+    default; the document gives the three angles below in degrees."""
     if cfg.get("schema_version") != "task_world_v1":
         raise ValueError(
             f"unsupported world schema {cfg.get('schema_version')!r}")
-    return WorldConfig(
-        box_dims=cfg["box_dims"],
-        grasp_pitch=math.radians(cfg["grasp_pitch_deg"]),
-        shelf_center=cfg["shelf_center"],
-        shelf_region_half=cfg["shelf_region_half"],
-        approach_clearance=cfg.get("approach_clearance", 0.10),
-        lift_height=cfg.get("lift_height", 0.15),
-        shelf_pre_offset=cfg.get("shelf_pre_offset", 0.05),
-        retreat_back=cfg.get("retreat_back", 0.10),
-        retreat_up=cfg.get("retreat_up", 0.06),
-        grasp_eps_pos=cfg.get("grasp_eps_pos", 0.005),
-        grasp_eps_rot=math.radians(cfg.get("grasp_eps_rot_deg", 2.0)),
-        retain_pos=cfg.get("retain_pos", 0.015),
-        retain_rot=math.radians(cfg.get("retain_rot_deg", 5.0)),
-        drop_factor=cfg.get("drop_factor", 2.5),
-        dt=cfg.get("dt", 0.1),
-        substeps=cfg.get("substeps", 5),
-        control_arm=cfg.get("control_arm", "right"),
-        psi_left=cfg.get("psi_left", -0.05),
-        psi_right=cfg.get("psi_right", 0.05),
-        lock_pos_tol=cfg.get("lock_pos_tol", 1e-9),
-        lock_rot_tol=cfg.get("lock_rot_tol", 1e-8),
-        segment_knots=cfg.get("segment_knots", WorldConfig.__dataclass_fields__[
-            "segment_knots"].default_factory()),
-        timing_jitter=cfg.get("timing_jitter", 0.10),
-    )
+    values = {k: v for k, v in cfg.items() if k != "schema_version"}
+    try:
+        for name in ("grasp_pitch", "grasp_eps_rot", "retain_rot"):
+            if name in values:
+                raise ValueError(f"world config: give {name} in degrees, "
+                                 f"as {name}_deg")
+            if f"{name}_deg" in values:
+                values[name] = math.radians(values.pop(f"{name}_deg"))
+        return WorldConfig(**values)
+    except TypeError as exc:  # a missing or unknown key, or a wrong type
+        raise ValueError(f"world config: {exc}") from exc
 
 
 def load_world_config(path):
@@ -280,68 +274,30 @@ class TaskWorld:
         return events
 
 
-# --- chunked execution ---
+# --- first-order-hold execution ---
 
-class ReplayStream:
-    """Action stream that replays stored actions in chunks."""
+def execute_actions(model, world, actions, phases, locks, *, initial_state,
+                    dt=0.1, substeps=5, model_ref="", metadata=None):
+    """Run stored actions through the world with first-order holds.
 
-    def __init__(self, actions, phases, locks):
-        self.actions = np.asarray(actions, dtype=float)
-        self.phases = list(phases)
-        self.locks = list(locks)
-        self.cursor = 0
-
-    def next_chunk(self, obs_pair, chunk):
-        del obs_pair  # replay does not condition on observations
-        if self.cursor >= len(self.actions):
-            raise StreamExhausted("replay stream exhausted")
-        end = min(self.cursor + chunk, len(self.actions))
-        sl = slice(self.cursor, end)
-        return self.actions[sl], self.phases[sl], self.locks[sl]
-
-    def consumed(self, n):
-        self.cursor += n
-
-
-def execute_chunked(model, world, stream, *, initial_state, chunk=16,
-                    execute=8, dt=0.1, substeps=5, model_ref="",
-                    metadata=None):
-    """Run an action stream through the world with first-order holds.
-
-    Each requested chunk contributes its first ``execute`` actions;
-    between knots the command is linearly interpolated at ``substeps``
-    world evaluations.  Observations are recorded at knot points only.
+    Between knots the command is linearly interpolated at ``substeps``
+    world evaluations.  Each step's observation is the previous command
+    (the initial state at the first knot).
     """
     steps = []
     events = []
-    prev_vec = initial_state.to_vector()
-    obs_hist = [prev_vec.copy(), prev_vec.copy()]
-    t = 0
-    exhausted = False
-    while True:
-        try:
-            acts, phases, locks = stream.next_chunk(obs_hist[-2:], chunk)
-        except StreamExhausted:
-            exhausted = True
-            break
-        if len(acts) == 0:
-            break
-        n_exec = min(execute, len(acts))
-        for j in range(n_exec):
-            act = np.asarray(acts[j], dtype=float)
-            for s in range(1, substeps + 1):
-                alpha = s / substeps
-                interp = (1.0 - alpha) * prev_vec + alpha * act
-                for kind, arm in world.step(model, bm.BimanualState.from_vector(interp)):
-                    events.append(Event(t, kind, arm))
-            steps.append(Step(t, obs_hist[-1].copy(), act.copy(),
-                              phases[j], bool(locks[j])))
-            prev_vec = act
-            obs_hist.append(act.copy())
-            t += 1
-        stream.consumed(n_exec)
+    prev = initial_state.to_vector()
+    for t, (act, phase, lock) in enumerate(
+            zip(np.asarray(actions, dtype=float), phases, locks)):
+        for s in range(1, substeps + 1):
+            alpha = s / substeps
+            interp = (1.0 - alpha) * prev + alpha * act
+            for kind, arm in world.step(model, bm.BimanualState.from_vector(interp)):
+                events.append(Event(t, kind, arm))
+        steps.append(Step(t, prev.copy(), act.copy(), phase, bool(lock)))
+        prev = act
     meta = dict(metadata or {})
-    meta["stream_exhausted"] = exhausted
+    meta["stream_exhausted"] = True  # an episode_v1 key; datasets carry it
     return Episode(model_ref, dt, steps, events, meta)
 
 
@@ -374,6 +330,14 @@ def _segment(knots, phase, lock, n, pose_fn, grip_fn):
         knots.append(_ScriptKnot(phase, lock, grip_fn(alpha), pl, pr))
 
 
+def _home_poses(cfg):
+    """Staging (left, right) gripper poses above the nominal box position."""
+    home_box = box_pose_from_init(cfg, (0.0, 0.60, 0.0))
+    home_l, home_r = grasp_targets(cfg, home_box)
+    dz = cfg.approach_clearance + 0.10
+    return _lifted(home_l, dz), _lifted(home_r, dz)
+
+
 def _build_script(cfg, init, rng):
     """Per-knot target poses, grips, phases for one demonstration."""
     box0 = box_pose_from_init(cfg, init)
@@ -381,10 +345,7 @@ def _build_script(cfg, init, rng):
     shelf_box = Pose(Rotation.identity(), cfg.shelf_center)
     place_l, place_r = grasp_targets(cfg, shelf_box)
 
-    home_box = box_pose_from_init(cfg, (0.0, 0.60, 0.0))
-    home_l, home_r = grasp_targets(cfg, home_box)
-    dz_home = cfg.approach_clearance + 0.10
-    home_l, home_r = _lifted(home_l, dz_home), _lifted(home_r, dz_home)
+    home_l, home_r = _home_poses(cfg)
 
     app_l = _lifted(grasp_l, cfg.approach_clearance)
     app_r = _lifted(grasp_r, cfg.approach_clearance)
@@ -427,7 +388,7 @@ def _build_script(cfg, init, rng):
     _segment(knots, "retreat", False, n_knots("retreat"),
              lambda a: (_pose_interp(place_l, out_l, a),
                         _pose_interp(place_r, out_r, a)), lambda a: 0.0)
-    return knots, (grasp_l, grasp_r), (app_l, app_r), (home_l, home_r)
+    return knots, (grasp_l, grasp_r), (app_l, app_r)
 
 
 def _script_to_actions(model, cfg, knots, grasp_poses, approach_poses):
@@ -437,21 +398,18 @@ def _script_to_actions(model, cfg, knots, grasp_poses, approach_poses):
     control = cfg.control_arm
     sub = "left" if control == "right" else "right"
 
-    for side, pose in zip(("left", "right"), grasp_poses):
-        try:
-            kin.inverse_kinematics(model.arm(side), pose, cfg.psi(side), branch)
-        except BilockError as exc:
-            raise UnreachableGrasp(f"{side} grasp pose infeasible: {exc}") from exc
-    for side, pose in zip(("left", "right"), approach_poses):
-        try:
-            kin.inverse_kinematics(model.arm(side), pose, cfg.psi(side), branch)
-        except BilockError as exc:
-            raise UnreachableGrasp(f"{side} approach pose infeasible: {exc}") from exc
+    solved = {}
+    for label, poses in (("grasp", grasp_poses), ("approach", approach_poses)):
+        for side, pose in zip(("left", "right"), poses):
+            try:
+                solved[label, side] = kin.inverse_kinematics(
+                    model.arm(side), pose, cfg.psi(side), branch)
+            except BilockError as exc:
+                raise UnreachableGrasp(
+                    f"{side} {label} pose infeasible: {exc}") from exc
 
-    gl, gr = grasp_poses
-    q_l = kin.inverse_kinematics(model.left, gl, cfg.psi_left, branch)
-    q_r = kin.inverse_kinematics(model.right, gr, cfg.psi_right, branch)
-    lock_state = bm.BimanualState(q_l, q_r, 1.0, 1.0)
+    lock_state = bm.BimanualState(solved["grasp", "left"],
+                                  solved["grasp", "right"], 1.0, 1.0)
     lock = bm.engage_lock(model, lock_state, control, cfg.lock_pos_tol,
                           cfg.lock_rot_tol)
 
@@ -492,16 +450,19 @@ def _script_to_actions(model, cfg, knots, grasp_poses, approach_poses):
 
 def home_state(model, cfg):
     """Joint-space staging configuration used as the first observation."""
-    home_box = box_pose_from_init(cfg, (0.0, 0.60, 0.0))
-    hl, hr = grasp_targets(cfg, home_box)
-    dz = cfg.approach_clearance + 0.10
-    q_l = kin.inverse_kinematics(model.left, _lifted(hl, dz), cfg.psi_left)
-    q_r = kin.inverse_kinematics(model.right, _lifted(hr, dz), cfg.psi_right)
+    home_l, home_r = _home_poses(cfg)
+    q_l = kin.inverse_kinematics(model.left, home_l, cfg.psi_left)
+    q_r = kin.inverse_kinematics(model.right, home_r, cfg.psi_right)
     return bm.BimanualState(q_l, q_r, 0.0, 0.0)
 
 
-def model_ref_of(model):
-    return f"{model.left.name}+{model.right.name}"
+def _execute_from_home(model, cfg, init, actions, phases, locks, model_ref,
+                       metadata):
+    """Execute actions in a fresh world for box init, from the home state."""
+    return execute_actions(model, TaskWorld(cfg, init), actions, phases, locks,
+                           initial_state=home_state(model, cfg), dt=cfg.dt,
+                           substeps=cfg.substeps, model_ref=model_ref,
+                           metadata=metadata)
 
 
 def generate_demonstration(model, cfg, init, seed):
@@ -511,11 +472,9 @@ def generate_demonstration(model, cfg, init, seed):
     PathInfeasible when the scripted motion is kinematically impossible.
     """
     rng = rng_from(seed)
-    knots, grasps, approaches, _ = _build_script(cfg, init, rng)
+    knots, grasps, approaches = _build_script(cfg, init, rng)
     actions, phases, locks = _script_to_actions(model, cfg, knots, grasps,
                                                 approaches)
-    world = TaskWorld(cfg, init)
-    stream = ReplayStream(actions, phases, locks)
     meta = {
         "seed": int(seed),
         "box_init": [float(v) for v in init],
@@ -528,10 +487,9 @@ def generate_demonstration(model, cfg, init, seed):
         "source": "generator",
         "ik_failures": 0,
     }
-    episode = execute_chunked(model, world, stream,
-                              initial_state=home_state(model, cfg),
-                              dt=cfg.dt, substeps=cfg.substeps,
-                              model_ref=model_ref_of(model), metadata=meta)
+    episode = _execute_from_home(
+        model, cfg, init, actions, phases, locks,
+        f"{model.left.name}+{model.right.name}", meta)
     kinds = [e.kind for e in episode.events]
     if PLACED not in kinds or kinds.count(GRASP_ATTACH) != 2:
         raise PathInfeasible(
@@ -546,15 +504,9 @@ def replay_episode(model, cfg, episode, extra_meta=None):
     Events and observations are regenerated from the commands; phase tags
     and the action sequence are preserved.
     """
-    init = episode.metadata["box_init"]
-    world = TaskWorld(cfg, init)
-    stream = ReplayStream(episode.actions(),
-                          [s.phase for s in episode.steps],
-                          [s.lock for s in episode.steps])
-    meta = dict(episode.metadata)
-    meta["source"] = "replay"
-    meta.update(extra_meta or {})
-    return execute_chunked(model, world, stream,
-                           initial_state=home_state(model, cfg),
-                           dt=cfg.dt, substeps=cfg.substeps,
-                           model_ref=episode.model_ref, metadata=meta)
+    meta = {**episode.metadata, "source": "replay", **(extra_meta or {})}
+    return _execute_from_home(model, cfg, episode.metadata["box_init"],
+                              episode.actions(),
+                              [s.phase for s in episode.steps],
+                              [s.lock for s in episode.steps],
+                              episode.model_ref, meta)

@@ -89,13 +89,13 @@ def test_criterion_2_perturbation_scaling(model, perturbed_levels):
            f"ori/pos {ratio:.3f} deg/cm vs 0.71 +/- 15%; monotone={monotone}")
 
 
-def _poly_constraint(expr, n_in, n_out):
+def _poly_constraint(expr):
     def fn(q):
         vals = expr(q)
         if isinstance(q, np.ndarray) and q.dtype == object:
             return np.array(vals, dtype=object)
         return np.array(vals, dtype=float)
-    return mf.ConstraintFunction(fn, n_in, n_out)
+    return mf.ConstraintFunction(fn)
 
 
 def test_criterion_3_curvature_oracles():
@@ -104,7 +104,7 @@ def test_criterion_3_curvature_oracles():
 
     def affine(q):
         return [q[0] + 2.0 * q[1] - 0.3, q[2] - q[1] + 1.0]
-    k = mf.riemann_and_kretschmann(_poly_constraint(affine, 4, 2),
+    k = mf.riemann_and_kretschmann(_poly_constraint(affine),
                                    np.array([0.3, 0.0, -1.0, 0.5])).kretschmann
     ok &= k <= 1e-10
     details.append(f"affine {k:.1e}<=1e-10")
@@ -120,7 +120,7 @@ def test_criterion_3_curvature_oracles():
                 return [s - r * r]
             q = np.zeros(n)
             q[0] = r
-            k = mf.riemann_and_kretschmann(_poly_constraint(sphere, n, 1),
+            k = mf.riemann_and_kretschmann(_poly_constraint(sphere),
                                            q).kretschmann
             want = 2.0 * m * (m - 1) / r ** 4
             worst = max(worst, abs(k - want) / want)
@@ -129,14 +129,14 @@ def test_criterion_3_curvature_oracles():
 
     def cyl(q):
         return [q[0] * q[0] + q[1] * q[1] - 0.25]
-    k = mf.riemann_and_kretschmann(_poly_constraint(cyl, 3, 1),
+    k = mf.riemann_and_kretschmann(_poly_constraint(cyl),
                                    np.array([0.5, 0.0, 0.4])).kretschmann
     ok &= k <= 1e-10
     details.append(f"cylinder {k:.1e}<=1e-10")
 
     def parab(q):
         return [q[2] - q[0] * q[0] - q[1] * q[1]]
-    k = mf.riemann_and_kretschmann(_poly_constraint(parab, 3, 1),
+    k = mf.riemann_and_kretschmann(_poly_constraint(parab),
                                    np.zeros(3)).kretschmann
     ok &= abs(k - 64.0) <= 1e-6 * 64.0
     details.append(f"paraboloid {k:.6f} vs 64")

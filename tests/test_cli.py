@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bilock import cli
+from bilock.configio import default_data_path
 from bilock.episodes import read_episodes, write_episodes
 
 
@@ -65,6 +66,15 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
                                 "theta_range": [-0.1, 0.1]}}))
     text_window = tmp_path / "text_window.json"
     text_window.write_text(json.dumps({"window": "16"}))
+    world = json.loads(default_data_path("world.json").read_text())
+    arm = json.loads(default_data_path("arm_left.json").read_text())
+    bad_docs = {"no_box_dims": dict(world, box_dims=None),
+                "unknown_world_key": dict(world, gravity=9.81),
+                "zero_substeps": dict(world, substeps=0),
+                "no_joint_axes": dict(arm, joint_axes=None)}
+    for name, doc in bad_docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {k: v for k, v in doc.items() if v is not None}))
     data = str(clean_run / "episodes.jsonl")
     cases = [["gen", "--n", "0"],
              ["gen", "--distribution", "custom"],
@@ -75,7 +85,11 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
              ["curvature", "--in", data, "--knot-stride", "0"],
              ["curvature", "--in", data, "--max-episodes", "-1"],
              ["curvature", "--in", data, "--rank-tol", "0"],
-             ["curvature", "--in", data, "--fd-step", "0"]]
+             ["curvature", "--in", data, "--fd-step", "0"],
+             ["gen", "--world", str(tmp_path / "no_box_dims.json")],
+             ["gen", "--world", str(tmp_path / "unknown_world_key.json")],
+             ["gen", "--world", str(tmp_path / "zero_substeps.json")],
+             ["gen", "--arm-model-left", str(tmp_path / "no_joint_axes.json")]]
     for args in cases:
         code = run(args + ["--out-dir", str(tmp_path / "x")])
         err = capsys.readouterr().err

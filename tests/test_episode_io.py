@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bilock import cli
 from bilock.episodes import (episode_from_record, episode_to_record,
                              read_episodes, write_episodes)
 from bilock.errors import MalformedRecord, SchemaMismatch
@@ -80,6 +81,34 @@ def test_missing_field_is_malformed(tmp_path, clean_set):
     with pytest.raises(MalformedRecord) as exc:
         read_episodes(path)
     assert exc.value.line == 2
+
+
+def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
+    """Gripper channels outside [0, 1] and metadata the stages read but the
+    record lacks are data errors at the record's line."""
+    path = tmp_path / "eps.jsonl"
+    write_episodes(path, clean_set[:1])
+    lines = path.read_text().splitlines()
+
+    def gripper(rec):
+        rec["steps"][3]["act"][14] = 1.5
+
+    def drop(key):
+        return lambda rec: rec["metadata"].pop(key)
+
+    edits = [drop("box_init"), drop("control_arm"), drop("psi_left"),
+             lambda rec: rec["metadata"].update(box_init=[0.0, 0.6]), gripper]
+    for edit in edits:
+        rec = json.loads(lines[1])
+        edit(rec)
+        path.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n")
+        with pytest.raises(MalformedRecord) as exc:
+            read_episodes(path)
+        assert exc.value.line == 2
+    # perturb never reads gripper channels, so only the reader can stop them
+    assert cli.main(["perturb", "--in", str(path), "--level", "1",
+                     "--out-dir", str(tmp_path / "out")]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: line 2: step 3:")
 
 
 def test_record_round_trip_structure(clean_episode):

@@ -12,14 +12,14 @@ from bilock.geometry import Pose
 from conftest import random_q14
 
 
-def _poly_constraint(fn_scalars, n_in, n_out):
+def _poly_constraint(fn_scalars):
     """Constraint from scalar expressions generic over float/dual inputs."""
     def fn(q):
         vals = fn_scalars(q)
         if isinstance(q, np.ndarray) and q.dtype == object:
             return np.array(vals, dtype=object)
         return np.array(vals, dtype=float)
-    return mf.ConstraintFunction(fn, n_in, n_out)
+    return mf.ConstraintFunction(fn)
 
 
 def sphere(r, n):
@@ -28,7 +28,7 @@ def sphere(r, n):
         for i in range(1, n):
             s = s + q[i] * q[i]
         return [s - r * r]
-    return _poly_constraint(expr, n, 1)
+    return _poly_constraint(expr)
 
 
 def test_constraint_zero_at_anchor(model):
@@ -103,7 +103,7 @@ def test_frame_sphere_and_affine():
     def expr(q):
         return [a[0, 0] * q[0] + a[0, 1] * q[1] + a[0, 2] * q[2] - 1.0,
                 a[1, 0] * q[0] + a[1, 1] * q[1] + a[1, 2] * q[2] + 0.5]
-    f = _poly_constraint(expr, 3, 2)
+    f = _poly_constraint(expr)
     t1 = mf.frame_at(f, np.zeros(3)).tangent_basis
     t2 = mf.frame_at(f, np.array([5.0, -2.0, 1.0])).tangent_basis
     # affine constraint: the tangent space is constant (basis up to sign)
@@ -115,7 +115,7 @@ def test_frame_sphere_and_affine():
 def test_frame_rank_deficient():
     def expr(q):
         return [q[0], q[0]]  # duplicated row: rank 1, not 2
-    f = _poly_constraint(expr, 3, 2)
+    f = _poly_constraint(expr)
     with pytest.raises(RankDeficient):
         mf.frame_at(f, np.zeros(3))
 
@@ -139,7 +139,7 @@ def test_second_fundamental_form_oracles():
     # affine: trivially flat
     def expr(q):
         return [q[0] + 2.0 * q[1] - 1.0]
-    f = _poly_constraint(expr, 3, 1)
+    f = _poly_constraint(expr)
     frame = mf.frame_at(f, np.array([1.0, 0.0, 0.0]))
     ii = mf.second_fundamental_form(frame, hessian_numeric(f, frame.q))
     assert np.abs(ii).max() <= 1e-12
@@ -155,7 +155,7 @@ def test_second_fundamental_form_oracles():
     # cylinder: principal curvatures -1/r and 0
     def cyl(q):
         return [q[0] * q[0] + q[1] * q[1] - 0.25]
-    f = _poly_constraint(cyl, 3, 1)
+    f = _poly_constraint(cyl)
     q = np.array([0.5, 0.0, 0.3])
     frame = mf.frame_at(f, q)
     ii = mf.second_fundamental_form(frame, hessian_numeric(f, q))
@@ -177,13 +177,13 @@ def test_kretschmann_oracles():
 
     def cyl(q):
         return [q[0] * q[0] + q[1] * q[1] - 0.25]
-    res = mf.riemann_and_kretschmann(_poly_constraint(cyl, 3, 1),
+    res = mf.riemann_and_kretschmann(_poly_constraint(cyl),
                                      np.array([0.5, 0.0, 0.3]))
     assert res.kretschmann <= 1e-10
 
     def parab(q):
         return [q[2] - q[0] * q[0] - q[1] * q[1]]
-    res = mf.riemann_and_kretschmann(_poly_constraint(parab, 3, 1), np.zeros(3))
+    res = mf.riemann_and_kretschmann(_poly_constraint(parab), np.zeros(3))
     assert abs(res.kretschmann - 64.0) <= 1e-6 * 64.0
 
 
@@ -260,7 +260,7 @@ def test_kretschmann_chart_invariance(model):
         w = geo.so3_log(x.rotation.mat @ np.array(r0).T)
         return np.concatenate([x.translation - np.array(p0), w])
 
-    f_left = mf.ConstraintFunction(left_residual, 14, 6)
+    f_left = mf.ConstraintFunction(left_residual)
     k_right = mf.riemann_and_kretschmann(f_right, q0).kretschmann
     k_left = mf.riemann_and_kretschmann(f_left, q0).kretschmann
     assert abs(k_left - k_right) <= 1e-3 * k_right
@@ -285,7 +285,7 @@ def test_one_constraint_evaluation_per_knot(model, clean_episode):
         return f(q)
 
     records, gaps = mf.rollout_curvature_series(
-        mf.ConstraintFunction(counted, 14, 6), clean_episode, knot_stride=5)
+        mf.ConstraintFunction(counted), clean_episode, knot_stride=5)
     assert len(calls) == len(records) + len(gaps) > 0
 
 

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bilock import bimanual as bm
 from bilock import kinematics as kin
@@ -10,7 +13,7 @@ from bilock import metrics as mx
 from bilock import worldsim as ws
 from bilock.episodes import (BOX_DROP, GRASP_ATTACH, GRASP_DETACH, PLACED,
                              episode_to_record)
-from bilock.errors import StreamExhausted, UnreachableGrasp
+from bilock.errors import UnreachableGrasp
 from bilock.geometry import Pose, geodesic_distance
 from bilock.seeding import rng_from
 
@@ -110,10 +113,9 @@ def test_first_order_hold_interpolation(model):
     qb = np.full(16, 1.0)
     qb[14] = qb[15] = 0.5
     world = _RecordingWorld()
-    stream = ws.ReplayStream(np.array([qa, qb]), ["approach"] * 2,
-                             [False] * 2)
     home = bm.BimanualState(np.zeros(7), np.zeros(7), 0.0, 0.0)
-    ep = ws.execute_chunked(model, world, stream, initial_state=home,
+    ep = ws.execute_actions(model, world, np.array([qa, qb]),
+                            ["approach"] * 2, [False] * 2, initial_state=home,
                             substeps=4)
     assert ep.n_steps == 2
     # knot b follows knot a: midpoint substep is the average command
@@ -123,22 +125,42 @@ def test_first_order_hold_interpolation(model):
     assert np.allclose(mid, (qa + qb) / 2.0, atol=1e-15)
     # constant chunks interpolate to the same constant
     world2 = _RecordingWorld()
-    stream2 = ws.ReplayStream(np.array([qa, qa, qa]), ["approach"] * 3,
-                              [False] * 3)
-    ws.execute_chunked(model, world2, stream2, initial_state=home, substeps=4)
+    ws.execute_actions(model, world2, np.array([qa, qa, qa]), ["approach"] * 3,
+                       [False] * 3, initial_state=home, substeps=4)
     tail = np.array(world2.states[4:])
     assert np.abs(tail - qa).max() == 0.0
 
 
+knot_actions = st.integers(1, 5).flatmap(
+    lambda k: arrays(np.float64, (k, 16), elements=st.floats(0.0, 1.0)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(actions=knot_actions, substeps=st.integers(1, 6),
+       initial=arrays(np.float64, 16, elements=st.floats(0.0, 1.0)))
+def test_executor_holds_each_knot(model, actions, substeps, initial):
+    """The world sees substeps commands per knot, the last of them exactly
+    the knot's action; each step observes the previous command."""
+    world = _RecordingWorld()
+    k = len(actions)
+    ep = ws.execute_actions(model, world, actions, ["approach"] * k,
+                            [False] * k, substeps=substeps,
+                            initial_state=bm.BimanualState.from_vector(initial))
+    assert len(world.states) == k * substeps
+    for t in range(k):
+        assert np.array_equal(world.states[(t + 1) * substeps - 1], actions[t])
+        prev = actions[t - 1] if t else initial
+        assert np.array_equal(ep.steps[t].obs, prev)
+        assert np.array_equal(ep.steps[t].act, actions[t])
+
+
 def test_stream_exhaustion_flag(model):
     world = _RecordingWorld()
-    stream = ws.ReplayStream(np.zeros((3, 16)), ["approach"] * 3, [False] * 3)
     home = bm.BimanualState(np.zeros(7), np.zeros(7), 0.0, 0.0)
-    ep = ws.execute_chunked(model, world, stream, initial_state=home)
+    ep = ws.execute_actions(model, world, np.zeros((3, 16)), ["approach"] * 3,
+                            [False] * 3, initial_state=home)
     assert ep.n_steps == 3
     assert ep.metadata["stream_exhausted"]
-    with pytest.raises(StreamExhausted):
-        stream.next_chunk(None, 16)
 
 
 def _displace_left(model, episode, indices, offset):
@@ -190,9 +212,9 @@ def test_never_closing_grippers_produces_no_events(model, world_cfg,
     acts[:, 14] = 0.0
     acts[:, 15] = 0.0
     world = ws.TaskWorld(world_cfg, clean_episode.metadata["box_init"])
-    stream = ws.ReplayStream(acts, [s.phase for s in clean_episode.steps],
-                             [s.lock for s in clean_episode.steps])
-    ep = ws.execute_chunked(model, world, stream,
+    ep = ws.execute_actions(model, world, acts,
+                            [s.phase for s in clean_episode.steps],
+                            [s.lock for s in clean_episode.steps],
                             initial_state=ws.home_state(model, world_cfg),
                             dt=world_cfg.dt, substeps=world_cfg.substeps)
     assert ep.events == []
