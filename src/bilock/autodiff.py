@@ -118,12 +118,6 @@ class Dual2:
         r = math.sqrt(self.val)
         return self._chain(r, 0.5 / r, -0.25 / (r * self.val))
 
-    def arccos(self):
-        u = 1.0 - self.val * self.val
-        s = math.sqrt(u)
-        return self._chain(math.acos(self.val), -1.0 / s,
-                           -self.val / (u * s))
-
     @staticmethod
     def atan2(y, x):
         yv, xv = value(y), value(x)
@@ -163,10 +157,6 @@ def cos(x):
 
 def sqrt(x):
     return x.sqrt() if isinstance(x, Dual2) else math.sqrt(x)
-
-
-def arccos(x):
-    return x.arccos() if isinstance(x, Dual2) else math.acos(x)
 
 
 def atan2(y, x):

@@ -4,7 +4,9 @@ Subcommands: ``gen`` (clean dataset), ``perturb`` (degraded dataset plus a
 violation summary), ``eval`` (outcome counts, Wilson CIs, violation
 aggregates over surrogate re-executions), ``curvature`` (per-knot
 curvature series plus correlation/JS analysis).  Identical configs and
-seeds produce byte-identical output files regardless of worker count.
+seeds produce byte-identical output files; ``gen --workers`` changes only
+how fast.  A stage writes its files only once all of its computation has
+succeeded, and each file replaces its predecessor atomically.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -12,7 +14,6 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import multiprocessing
 import os
 import sys
@@ -27,7 +28,7 @@ from . import stats as st
 from . import worldsim as ws
 from .autodiff import DiffConfig
 from .configio import load_models, load_pipeline_config
-from .episodes import read_episodes, write_episodes
+from .episodes import read_episodes, write_episodes, write_records
 from .errors import (BilockError, EmptyDataset, IkFailureDuringPerturb,
                      InsufficientCategory, MalformedRecord, RankDeficient,
                      SchemaMismatch)
@@ -40,24 +41,18 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _dump_json(path, obj):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
 def _episode_task(args):
     model, world_cfg, dist, master_seed, index = args
     init = ws.sample_box_init(dist, rng_from(master_seed, index, 0))
     seed = int(rng_from(master_seed, index, 1).integers(2 ** 62))
-    return index, seed, ws.generate_demonstration(model, world_cfg, init, seed)
+    return seed, ws.generate_demonstration(model, world_cfg, init, seed)
 
 
-def cmd_gen(cfg):
-    model, world_cfg = load_models(cfg)
+# A stage takes (cfg, model, world_cfg, episodes, out), episodes being the
+# non-empty input dataset (None for gen), and returns its progress line.
+
+def run_gen(cfg, model, world_cfg, _episodes, out):
     dist = cfg.box_distribution()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tasks = [(model, world_cfg, dist, cfg.master_seed, i)
              for i in range(cfg.n_episodes)]
     if cfg.workers > 1:
@@ -65,37 +60,23 @@ def cmd_gen(cfg):
             results = list(pool.imap(_episode_task, tasks))
     else:
         results = [_episode_task(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    episodes = [ep for _, _, ep in results]
-    seeds = [s for _, s, _ in results]
+    episodes = [ep for _, ep in results]
     write_episodes(out / "episodes.jsonl", episodes,
                    {"config_hash": cfg.config_hash()})
-    _dump_json(out / "manifest.json", {
+    write_records(out / "manifest.json", [{
         "schema_version": "manifest_v1",
         "config_hash": cfg.config_hash(),
         "config": cfg.canonical_dict(),
-        "episode_seeds": seeds,
+        "episode_seeds": [s for s, _ in results],
         "n_episodes": len(episodes),
-    })
-    print(f"gen: wrote {len(episodes)} episodes to {out / 'episodes.jsonl'}")
-    return 0
+    }])
+    return f"gen: wrote {len(episodes)} episodes to {out / 'episodes.jsonl'}"
 
 
-def cmd_perturb(cfg, in_dataset):
-    model, _ = load_models(cfg)
-    episodes = read_episodes(in_dataset)
-    if not episodes:
-        raise EmptyDataset("input dataset holds no episodes")
+def run_perturb(cfg, model, _world_cfg, episodes, out):
     # raw volatility overrides the named level
-    if cfg.eta is not None:
-        selector = float(cfg.eta)
-        level_tag, eta = "raw", selector
-    else:
-        level = pb.PerturbationLevel(cfg.level)
-        selector = level
-        level_tag, eta = level.level, level.eta
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    selector = cfg.level if cfg.eta is None else float(cfg.eta)
+    level_tag, eta = pb.level_and_eta(selector)
     perturbed = pb.perturb_dataset(model, episodes, selector, cfg.master_seed)
     summary = pb.dataset_violation_summary(model, perturbed,
                                            window=cfg.window, stride=cfg.stride)
@@ -106,70 +87,43 @@ def cmd_perturb(cfg, in_dataset):
                                            for p in perturbed))})
     write_episodes(out / "episodes.jsonl", perturbed,
                    {"config_hash": cfg.config_hash()})
-    _dump_json(out / "perturb_summary.json", summary)
-    print(f"perturb: level={level_tag} eta={eta} "
-          f"pos_mean={summary['pos_mean_cm']:.3f}cm "
-          f"rot_mean={summary['rot_mean_deg']:.3f}deg")
-    return 0
+    write_records(out / "perturb_summary.json", [summary])
+    return (f"perturb: level={level_tag} eta={eta} "
+            f"pos_mean={summary['pos_mean_cm']:.3f}cm "
+            f"rot_mean={summary['rot_mean_deg']:.3f}deg")
 
 
-def cmd_eval(cfg, in_dataset):
-    model, world_cfg = load_models(cfg)
-    episodes = read_episodes(in_dataset)
-    if not episodes:
-        raise EmptyDataset("input dataset holds no episodes")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    profiles = []
-    outcomes = []
-    for ep in episodes:
-        profiles.append(mx.violation_profile(model, ep, cfg.window, cfg.stride))
-        rolled = ws.replay_episode(model, world_cfg, ep)
-        outcomes.append(mx.classify_outcome(rolled))
+def run_eval(cfg, model, world_cfg, episodes, out):
+    profiles = [mx.violation_profile(model, ep, cfg.window, cfg.stride)
+                for ep in episodes]
+    outcomes = [mx.classify_outcome(ws.replay_episode(model, world_cfg, ep))
+                for ep in episodes]
     report = mx.aggregate_report(episodes, profiles, outcomes,
                                  window=cfg.window, stride=cfg.stride)
-    doc = report.to_dict()
-    doc["config_hash"] = cfg.config_hash()
-    _dump_json(out / "eval_report.json", doc)
-    counts = report.outcome_counts
-    print(f"eval: n={report.n_episodes} outcomes I={counts['I']} II={counts['II']} "
-          f"III={counts['III']} IV={counts['IV']} "
-          f"success={report.success_rate:.3f} "
-          f"wilson=[{report.wilson_lo:.4f},{report.wilson_hi:.4f}]")
-    return 0
+    report["config_hash"] = cfg.config_hash()
+    write_records(out / "eval_report.json", [report])
+    counts = report["outcome_counts"]
+    return (f"eval: n={report['n_episodes']} outcomes I={counts['I']} "
+            f"II={counts['II']} III={counts['III']} IV={counts['IV']} "
+            f"success={report['success_rate']:.3f} "
+            f"wilson=[{report['wilson_lo']:.4f},{report['wilson_hi']:.4f}]")
 
 
-def cmd_curvature(cfg, in_dataset):
-    model, world_cfg = load_models(cfg)
-    episodes = read_episodes(in_dataset)
-    if not episodes:
-        raise EmptyDataset("input dataset holds no episodes")
+def run_curvature(cfg, model, world_cfg, episodes, out):
     if cfg.max_episodes:
         episodes = episodes[:cfg.max_episodes]
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     diff = DiffConfig(cfg.diff_mode, cfg.fd_step)
 
-    all_series = []
-    outcomes = []
-    gap_total = 0
-    with open(out / "curvature_series.jsonl", "w", encoding="utf-8",
-              newline="\n") as fh:
-        header = {"schema_version": "curvature_series_v1",
-                  "config_hash": cfg.config_hash()}
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for i, ep in enumerate(episodes):
-            f = mf.constraint_for_episode(model, ep)
-            records, gaps = mf.rollout_curvature_series(
-                f, ep, diff, cfg.rank_tol, cfg.knot_stride)
-            gap_total += len(gaps)
-            all_series.append(records)
-            rolled = ws.replay_episode(model, world_cfg, ep)
-            outcomes.append(mx.classify_outcome(rolled))
-            fh.write(json.dumps(
-                {"episode": i, "outcome": outcomes[-1].category,
-                 "series": records, "gaps": gaps},
-                sort_keys=True, separators=(",", ":")) + "\n")
+    rows = []
+    for i, ep in enumerate(episodes):
+        f = mf.constraint_for_episode(model, ep)
+        series, gaps = mf.rollout_curvature_series(
+            f, ep, diff, cfg.rank_tol, cfg.knot_stride)
+        outcome = mx.classify_outcome(ws.replay_episode(model, world_cfg, ep))
+        rows.append({"episode": i, "outcome": outcome.category,
+                     "series": series, "gaps": gaps})
+    all_series = [row["series"] for row in rows]
+    outcomes = [row["outcome"] for row in rows]
     if all(not s for s in all_series):
         raise RankDeficient("no curvature records produced", 0.0)
 
@@ -179,8 +133,8 @@ def cmd_curvature(cfg, in_dataset):
                 "config_hash": cfg.config_hash(),
                 "n_rollouts": len(all_series),
                 "n_knots": int(ks.size),
-                "rank_deficient_knots": gap_total,
-                "category_counts": {c: sum(1 for o in outcomes if o.category == c)
+                "rank_deficient_knots": sum(len(row["gaps"]) for row in rows),
+                "category_counts": {c: outcomes.count(c)
                                     for c in mx.CATEGORIES}}
     try:
         analysis["pearson"] = st.pearson(ks, res)
@@ -196,12 +150,19 @@ def cmd_curvature(cfg, in_dataset):
         except InsufficientCategory as exc:
             analysis[f"js_{stat}"] = None
             analysis[f"js_{stat}_error"] = str(exc)
-    _dump_json(out / "curvature_analysis.json", analysis)
-    print(f"curvature: {analysis['n_knots']} knots over "
-          f"{analysis['n_rollouts']} rollouts; pearson={analysis['pearson']} "
-          f"spearman={analysis['spearman']} js_mean={analysis['js_mean']} "
-          f"js_max={analysis['js_max']}")
-    return 0
+
+    header = {"schema_version": "curvature_series_v1",
+              "config_hash": cfg.config_hash()}
+    write_records(out / "curvature_series.jsonl", [header, *rows])
+    write_records(out / "curvature_analysis.json", [analysis])
+    return (f"curvature: {analysis['n_knots']} knots over "
+            f"{analysis['n_rollouts']} rollouts; pearson={analysis['pearson']} "
+            f"spearman={analysis['spearman']} js_mean={analysis['js_mean']} "
+            f"js_max={analysis['js_max']}")
+
+
+STAGES = {"gen": run_gen, "perturb": run_perturb, "eval": run_eval,
+          "curvature": run_curvature}
 
 
 def build_parser():
@@ -221,11 +182,11 @@ def build_parser():
         p.add_argument("--seed", dest="master_seed", type=int)
         p.add_argument("--window", dest="window", type=int)
         p.add_argument("--stride", dest="stride", type=int)
-        p.add_argument("--workers", dest="workers", type=int)
 
     p = sub.add_parser("gen", help="generate clean demonstrations")
     add_common(p)
     p.add_argument("--n", dest="n_episodes", type=int)
+    p.add_argument("--workers", dest="workers", type=int)
     p.add_argument("--distribution", dest="distribution",
                    choices=("train", "eval", "custom"))
 
@@ -252,25 +213,25 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config", "in_dataset")}
     try:
         cfg = load_pipeline_config(args.config, overrides)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+        model, world_cfg = load_models(cfg)
+    except (ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.command == "gen":
-            return cmd_gen(cfg)
-        if args.command == "perturb":
-            return cmd_perturb(cfg, args.in_dataset)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.in_dataset)
-        if args.command == "curvature":
-            return cmd_curvature(cfg, args.in_dataset)
-    except (OSError, ValueError) as exc:
+        episodes = None
+        if args.command != "gen":
+            episodes = read_episodes(args.in_dataset)
+            if not episodes:
+                raise EmptyDataset("input dataset holds no episodes")
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        print(STAGES[args.command](cfg, model, world_cfg, episodes, out))
+    except OSError as exc:  # a missing --in file, an out-dir that is a file
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (MalformedRecord, SchemaMismatch, EmptyDataset) as exc:

@@ -52,13 +52,18 @@ class PipelineConfig:
             raise ValueError("distribution must be train, eval, or custom")
         if self.level not in (0, 1, 2, 3):
             raise ValueError("perturbation level must be 0..3")
+        if self.eta is not None and not 0.0 <= self.eta < float("inf"):
+            raise ValueError("eta must be a finite non-negative number")
+        if self.diff_mode not in ("dual", "fd"):
+            raise ValueError("diff_mode must be dual or fd")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         for name in ("window", "stride", "knot_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.max_episodes < 0:
-            raise ValueError("max_episodes must be non-negative (0: all)")
+        for name in ("master_seed", "max_episodes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         for name in ("rank_tol", "fd_step"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -105,6 +110,8 @@ def load_pipeline_config(path=None, overrides=None):
     if path:
         with open(path, encoding="utf-8") as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError("pipeline config must be a JSON object")
         schema = file_values.pop("schema_version", PIPELINE_SCHEMA)
         if schema != PIPELINE_SCHEMA:
             raise ValueError(f"unsupported pipeline schema {schema!r}")
@@ -121,17 +128,13 @@ def load_pipeline_config(path=None, overrides=None):
 
 def load_models(cfg):
     """(BimanualModel, WorldConfig) for a pipeline config."""
-    def arm(path, default_name):
+    def load(loader, path, default_name):
         if path == "default":
             with resources.as_file(default_data_path(default_name)) as p:
-                return kin.load_arm_model(p)
-        return kin.load_arm_model(path)
+                return loader(p)
+        return loader(path)
 
-    left = arm(cfg.arm_model_left, "arm_left.json")
-    right = arm(cfg.arm_model_right, "arm_right.json")
-    if cfg.world == "default":
-        with resources.as_file(default_data_path("world.json")) as p:
-            world = ws.load_world_config(p)
-    else:
-        world = ws.load_world_config(cfg.world)
+    left = load(kin.load_arm_model, cfg.arm_model_left, "arm_left.json")
+    right = load(kin.load_arm_model, cfg.arm_model_right, "arm_right.json")
+    world = load(ws.load_world_config, cfg.world, "world.json")
     return bm.BimanualModel(left, right), world

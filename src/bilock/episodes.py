@@ -2,14 +2,18 @@
 
 One dataset file holds a header record followed by one episode per line.
 Floats round-trip bitwise (shortest-repr JSON encoding), so re-serializing
-a loaded dataset is byte-identical.
+a loaded dataset is byte-identical.  ``write_records`` is the one writer of
+every file the CLI stages emit.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -89,6 +93,8 @@ def episode_from_record(rec):
     steps = [Step(s["t"], s["obs"], s["act"], s["phase"], s["lock"])
              for s in rec["steps"]]
     for s in steps:
+        if not (np.isfinite(s.obs).all() and np.isfinite(s.act).all()):
+            raise ValueError(f"step {s.t}: obs and act must be finite")
         if not all(0.0 <= g <= 1.0 for g in (*s.obs[14:], *s.act[14:])):
             raise ValueError(f"step {s.t}: gripper channels must lie in [0, 1]")
     events = [Event(e["t"], e["kind"], e.get("arm")) for e in rec["events"]]
@@ -117,33 +123,47 @@ def _check_metadata(meta):
                              f"got {meta.get(key)!r}")
 
 
-def _dumps(obj):
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+def write_records(path, records):
+    """Stream one canonical JSON line per record into a sibling
+    ``<name>.tmp`` and move it onto ``path`` atomically.  On any failure the
+    temporary file is removed and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec, separators=(",", ":"),
+                                    sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_episodes(path, episodes, header_meta=None):
     """Write a dataset file: header line plus one episode per line."""
     header = {"schema_version": DATASET_SCHEMA, "n_episodes": len(episodes)}
     header.update(header_meta or {})
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dumps(header) + "\n")
-        for ep in episodes:
-            fh.write(_dumps(episode_to_record(ep)) + "\n")
+    write_records(path, itertools.chain(
+        [header], map(episode_to_record, episodes)))
 
 
 def read_episodes(path, return_header=False):
     """Read a dataset file; validates schema versions per record."""
     episodes = []
     header = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise MalformedRecord(f"not UTF-8 ({exc.reason})", lineno) from exc
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(f"invalid JSON ({exc.msg})", lineno) from exc
+            if not isinstance(rec, dict):
+                raise MalformedRecord("record is not a JSON object", lineno)
             if lineno == 1:
                 if rec.get("schema_version") != DATASET_SCHEMA:
                     raise SchemaMismatch(
@@ -162,6 +182,4 @@ def read_episodes(path, return_header=False):
         raise MalformedRecord(
             f"header declares n_episodes={header.get('n_episodes')!r} but "
             f"{len(episodes)} episode records follow", 1)
-    if return_header:
-        return episodes, header
-    return episodes
+    return (episodes, header) if return_header else episodes

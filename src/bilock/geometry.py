@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .errors import RotationNearPi
+from .errors import BilockError, RotationNearPi
 
 # Below this angle the log/exp maps switch to series expansions.
 _SMALL_ANGLE = 1.4e-2
@@ -43,6 +43,8 @@ def so3_exp(w):
     """Rotation matrix for a rotation vector (Rodrigues)."""
     w = np.asarray(w, dtype=float)
     th2 = float(w @ w)
+    if not math.isfinite(th2):
+        raise BilockError("rotation vector is not finite (or overflows)")
     if th2 < _SMALL_ANGLE ** 2:
         # sinc and versine series in theta^2; error O(theta^6)
         a = 1.0 - th2 / 6.0 * (1.0 - th2 / 20.0)

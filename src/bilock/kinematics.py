@@ -345,6 +345,8 @@ def _pose_from_config(node):
 def arm_model_from_dict(cfg):
     """ArmModel from an arm_model_v1 document; the dataclass holds the
     defaults of the optional keys."""
+    if not isinstance(cfg, dict):
+        raise ValueError("arm model must be a JSON object")
     if cfg.get("schema_version") != "arm_model_v1":
         raise ValueError(
             f"unsupported arm model schema {cfg.get('schema_version')!r}")

@@ -132,46 +132,25 @@ def wilson_interval(successes, trials, confidence=0.95):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@dataclass
-class EvaluationReport:
-    n_episodes: int
-    outcome_counts: dict
-    successes: int
-    success_rate: float
-    wilson_lo: float
-    wilson_hi: float
-    pos_mean_cm: float
-    pos_std_cm: float
-    pos_max_cm: float
-    rot_mean_deg: float
-    rot_std_deg: float
-    rot_max_deg: float
-    window: int
-    stride: int
-    confidence: float
-
-    def to_dict(self):
-        return {
-            "schema_version": "eval_report_v1",
-            "n_episodes": self.n_episodes,
-            "outcome_counts": self.outcome_counts,
-            "successes": self.successes,
-            "success_rate": self.success_rate,
-            "wilson_lo": self.wilson_lo,
-            "wilson_hi": self.wilson_hi,
-            "violation": {
-                "pos_mean_cm": self.pos_mean_cm, "pos_std_cm": self.pos_std_cm,
-                "pos_max_cm": self.pos_max_cm, "rot_mean_deg": self.rot_mean_deg,
-                "rot_std_deg": self.rot_std_deg, "rot_max_deg": self.rot_max_deg,
-            },
-            "window": self.window, "stride": self.stride,
-            "confidence": self.confidence,
-        }
+def violation_table(profiles):
+    """Violation-table row: mean, spread and maximum of the pooled per-knot
+    errors of the profiles, in centimeters and degrees."""
+    pos = np.concatenate([p.all_pos_errors() for p in profiles])
+    rot = np.concatenate([p.all_rot_errors() for p in profiles])
+    return {
+        "pos_mean_cm": float(pos.mean() * 100.0),
+        "pos_std_cm": float(pos.std() * 100.0),
+        "pos_max_cm": float(pos.max() * 100.0),
+        "rot_mean_deg": float(np.degrees(rot.mean())),
+        "rot_std_deg": float(np.degrees(rot.std())),
+        "rot_max_deg": float(np.degrees(rot.max())),
+    }
 
 
 def aggregate_report(episodes, profiles, outcomes, window=16, stride=8,
                      confidence=0.95):
-    """Table-style summary: category counts, Wilson CI, pooled errors."""
+    """The ``eval_report_v1`` document: category counts, Wilson CI and the
+    violation table of the profiles."""
     if not episodes:
         raise EmptyDataset("cannot aggregate an empty episode list")
     if not (len(episodes) == len(profiles) == len(outcomes)):
@@ -181,15 +160,9 @@ def aggregate_report(episodes, profiles, outcomes, window=16, stride=8,
         counts[o.category] += 1
     successes = sum(1 for o in outcomes if o.success)
     lo, hi = wilson_interval(successes, len(outcomes), confidence)
-    pos = np.concatenate([p.all_pos_errors() for p in profiles])
-    rot = np.concatenate([p.all_rot_errors() for p in profiles])
-    return EvaluationReport(
-        n_episodes=len(episodes), outcome_counts=counts, successes=successes,
-        success_rate=successes / len(outcomes), wilson_lo=lo, wilson_hi=hi,
-        pos_mean_cm=float(pos.mean() * 100.0),
-        pos_std_cm=float(pos.std() * 100.0),
-        pos_max_cm=float(pos.max() * 100.0),
-        rot_mean_deg=float(np.degrees(rot.mean())),
-        rot_std_deg=float(np.degrees(rot.std())),
-        rot_max_deg=float(np.degrees(rot.max())),
-        window=window, stride=stride, confidence=confidence)
+    return {"schema_version": "eval_report_v1",
+            "n_episodes": len(episodes), "outcome_counts": counts,
+            "successes": successes, "success_rate": successes / len(outcomes),
+            "wilson_lo": lo, "wilson_hi": hi,
+            "violation": violation_table(profiles),
+            "window": window, "stride": stride, "confidence": confidence}

@@ -25,7 +25,7 @@ import numpy as np
 from . import kinematics as kin
 from .errors import BilockError, EmptyDataset, IkFailureDuringPerturb
 from .geometry import Pose, so3_exp
-from .metrics import violation_profile
+from .metrics import violation_profile, violation_table
 from .seeding import rng_from
 
 # rad/m of rotation volatility per translation volatility: 0.71 deg/cm
@@ -107,7 +107,9 @@ def _perturbed_pose(pose, z):
     return Pose.from_parts(rot, pose.translation + pose.rotation.mat @ z[:3])
 
 
-def _level_and_eta(level):
+def level_and_eta(level):
+    """(level tag, eta) of a PerturbationLevel, a level index, or a raw
+    volatility (tagged "raw")."""
     if isinstance(level, PerturbationLevel):
         return level.level, level.eta
     if isinstance(level, int):
@@ -124,7 +126,7 @@ def perturb_episode(model, episode, level, seed, params=None):
     arm are untouched.  Knots whose perturbed pose has no IK solution are
     left clean and counted in metadata["ik_failures"].
     """
-    level_tag, eta = _level_and_eta(level)
+    level_tag, eta = level_and_eta(level)
     out = copy.deepcopy(episode)
     out.metadata = dict(out.metadata)
     out.metadata.update({"perturbation_level": level_tag, "eta": eta,
@@ -187,24 +189,12 @@ def perturb_dataset(model, episodes, level, master_seed, max_failure_rate=1e-3):
 
 
 def dataset_violation_summary(model, episodes, window=16, stride=8):
-    """Violation-table row for a dataset: means and spreads of the per-knot
-    transport-phase constraint errors, in centimeters and degrees."""
+    """Violation-table row for a dataset, plus the number of per-knot
+    errors it pools."""
     if not episodes:
         raise EmptyDataset("violation summary of an empty dataset")
-    pos = []
-    rot = []
-    for ep in episodes:
-        prof = violation_profile(model, ep, window=window, stride=stride)
-        pos.append(prof.all_pos_errors())
-        rot.append(prof.all_rot_errors())
-    pos = np.concatenate(pos)
-    rot = np.concatenate(rot)
-    return {
-        "pos_mean_cm": float(pos.mean() * 100.0),
-        "pos_std_cm": float(pos.std() * 100.0),
-        "pos_max_cm": float(pos.max() * 100.0),
-        "rot_mean_deg": float(np.degrees(rot.mean())),
-        "rot_std_deg": float(np.degrees(rot.std())),
-        "rot_max_deg": float(np.degrees(rot.max())),
-        "n_knot_errors": int(pos.size),
-    }
+    profiles = [violation_profile(model, ep, window=window, stride=stride)
+                for ep in episodes]
+    summary = violation_table(profiles)
+    summary["n_knot_errors"] = sum(p.all_pos_errors().size for p in profiles)
+    return summary

@@ -68,6 +68,12 @@ def sample_box_init(dist, rng):
 
 # --- world configuration (task_world_v1) ---
 
+# the scripted segments of a demonstration, in the order _build_script draws
+# their jittered knot counts
+SEGMENTS = ("approach", "descend", "grasp", "lift", "lateral", "insert",
+            "release", "retreat")
+
+
 @dataclass
 class WorldConfig:
     box_dims: np.ndarray
@@ -91,9 +97,8 @@ class WorldConfig:
     psi_right: float = 0.05
     lock_pos_tol: float = 1e-9
     lock_rot_tol: float = 1e-8
-    segment_knots: dict = field(default_factory=lambda: {
-        "approach": 12, "descend": 8, "grasp": 5, "lift": 8,
-        "lateral": 14, "insert": 6, "release": 4, "retreat": 8})
+    segment_knots: dict = field(default_factory=lambda: dict(
+        zip(SEGMENTS, (12, 8, 5, 8, 14, 6, 4, 8))))
     timing_jitter: float = 0.10
 
     def __post_init__(self):
@@ -110,6 +115,9 @@ class WorldConfig:
             raise ValueError("substeps must be an integer >= 1")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
+        if not (isinstance(self.segment_knots, dict)
+                and set(self.segment_knots) == set(SEGMENTS)):
+            raise ValueError(f"segment_knots must give exactly {SEGMENTS}")
 
     def psi(self, side):
         return self.psi_left if side == "left" else self.psi_right
@@ -118,6 +126,8 @@ class WorldConfig:
 def world_config_from_dict(cfg):
     """WorldConfig from a task_world_v1 document.  The dataclass holds every
     default; the document gives the three angles below in degrees."""
+    if not isinstance(cfg, dict):
+        raise ValueError("world config must be a JSON object")
     if cfg.get("schema_version") != "task_world_v1":
         raise ValueError(
             f"unsupported world schema {cfg.get('schema_version')!r}")
@@ -358,34 +368,34 @@ def _build_script(cfg, init, rng):
     out_l = Pose(place_l.rotation, place_l.translation - back + up)
     out_r = Pose(place_r.rotation, place_r.translation + back + up)
 
-    def n_knots(name):
-        base = cfg.segment_knots[name]
-        j = cfg.timing_jitter
-        return max(2, int(round(base * (1.0 + rng.uniform(-j, j)))))
+    j = cfg.timing_jitter
+    n = {name: max(2, int(round(cfg.segment_knots[name]
+                                * (1.0 + rng.uniform(-j, j)))))
+         for name in SEGMENTS}
 
     knots = []
-    _segment(knots, "approach", False, n_knots("approach"),
+    _segment(knots, "approach", False, n["approach"],
              lambda a: (_pose_interp(home_l, app_l, a),
                         _pose_interp(home_r, app_r, a)), lambda a: 0.0)
-    _segment(knots, "approach", False, n_knots("descend"),
+    _segment(knots, "approach", False, n["descend"],
              lambda a: (_pose_interp(app_l, grasp_l, a),
                         _pose_interp(app_r, grasp_r, a)), lambda a: 0.0)
     # the transform is locked before the grippers close
-    _segment(knots, "grasp", True, n_knots("grasp"),
+    _segment(knots, "grasp", True, n["grasp"],
              lambda a: (grasp_l, grasp_r), lambda a: a)
-    _segment(knots, "transport", True, n_knots("lift"),
+    _segment(knots, "transport", True, n["lift"],
              lambda a: (_pose_interp(grasp_l, lift_l, a),
                         _pose_interp(grasp_r, lift_r, a)), lambda a: 1.0)
-    _segment(knots, "transport", True, n_knots("lateral"),
+    _segment(knots, "transport", True, n["lateral"],
              lambda a: (_pose_interp(lift_l, pre_l, a),
                         _pose_interp(lift_r, pre_r, a)), lambda a: 1.0)
-    _segment(knots, "transport", True, n_knots("insert"),
+    _segment(knots, "transport", True, n["insert"],
              lambda a: (_pose_interp(pre_l, place_l, a),
                         _pose_interp(pre_r, place_r, a)), lambda a: 1.0)
     # the lock is released only after the grippers open
-    _segment(knots, "release", True, n_knots("release"),
+    _segment(knots, "release", True, n["release"],
              lambda a: (place_l, place_r), lambda a: 1.0 - a)
-    _segment(knots, "retreat", False, n_knots("retreat"),
+    _segment(knots, "retreat", False, n["retreat"],
              lambda a: (_pose_interp(place_l, out_l, a),
                         _pose_interp(place_r, out_r, a)), lambda a: 0.0)
     return knots, (grasp_l, grasp_r), (app_l, app_r)

@@ -71,10 +71,15 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
     bad_docs = {"no_box_dims": dict(world, box_dims=None),
                 "unknown_world_key": dict(world, gravity=9.81),
                 "zero_substeps": dict(world, substeps=0),
-                "no_joint_axes": dict(arm, joint_axes=None)}
+                "no_joint_axes": dict(arm, joint_axes=None),
+                "no_descend": dict(world, segment_knots={"approach": 12})}
     for name, doc in bad_docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(
             {k: v for k, v in doc.items() if v is not None}))
+    magic = tmp_path / "magic.json"
+    magic.write_text(json.dumps({"diff_mode": "magic"}))
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
     data = str(clean_run / "episodes.jsonl")
     cases = [["gen", "--n", "0"],
              ["gen", "--distribution", "custom"],
@@ -89,12 +94,41 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
              ["gen", "--world", str(tmp_path / "no_box_dims.json")],
              ["gen", "--world", str(tmp_path / "unknown_world_key.json")],
              ["gen", "--world", str(tmp_path / "zero_substeps.json")],
-             ["gen", "--arm-model-left", str(tmp_path / "no_joint_axes.json")]]
+             ["gen", "--arm-model-left", str(tmp_path / "no_joint_axes.json")],
+             ["gen", "--world", str(tmp_path / "no_descend.json")],
+             ["--config", str(magic), "curvature", "--in", data],
+             ["perturb", "--in", data, "--eta", "-1"],
+             ["perturb", "--in", data, "--eta", "nan"],
+             ["perturb", "--in", data, "--eta", "inf"],
+             ["gen", "--seed", "-1"],
+             ["--config", str(array), "gen"],
+             ["gen", "--world", str(array)],
+             ["gen", "--arm-model-left", str(array)]]
     for args in cases:
         code = run(args + ["--out-dir", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG, args
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+def test_workers_is_a_gen_flag(clean_run, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--in", str(clean_run / "episodes.jsonl"),
+             "--out-dir", str(tmp_path / "o"), "--workers", "2"])
+    assert exc.value.code == cli.EXIT_CONFIG
+
+
+def test_failed_stage_leaves_no_partial_output(clean_run, tmp_path, capsys):
+    """A stage that fails writes nothing: every knot rank deficient ends
+    the curvature stage before its series file exists."""
+    out = tmp_path / "curv"
+    code = run(["curvature", "--in", str(clean_run / "episodes.jsonl"),
+                "--out-dir", str(out), "--max-episodes", "1",
+                "--knot-stride", "10", "--rank-tol", "1e9"])
+    assert code == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not (out / "curvature_series.jsonl").exists()
+    assert list(out.glob("*.tmp")) == []
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from bilock import cli
 from bilock.episodes import (episode_from_record, episode_to_record,
-                             read_episodes, write_episodes)
+                             read_episodes, write_episodes, write_records)
 from bilock.errors import MalformedRecord, SchemaMismatch
 
 
@@ -84,8 +84,10 @@ def test_missing_field_is_malformed(tmp_path, clean_set):
 
 
 def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
-    """Gripper channels outside [0, 1] and metadata the stages read but the
-    record lacks are data errors at the record's line."""
+    """Gripper channels outside [0, 1], non-finite joint channels and
+    metadata the stages read but the record lacks are data errors at the
+    record's line; so are a file that is not UTF-8 and a header that is not
+    an object, at line 1."""
     path = tmp_path / "eps.jsonl"
     write_episodes(path, clean_set[:1])
     lines = path.read_text().splitlines()
@@ -96,8 +98,12 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
     def drop(key):
         return lambda rec: rec["metadata"].pop(key)
 
+    def nan_joint(rec):
+        rec["steps"][3]["act"][2] = float("nan")
+
     edits = [drop("box_init"), drop("control_arm"), drop("psi_left"),
-             lambda rec: rec["metadata"].update(box_init=[0.0, 0.6]), gripper]
+             lambda rec: rec["metadata"].update(box_init=[0.0, 0.6]), nan_joint,
+             gripper]
     for edit in edits:
         rec = json.loads(lines[1])
         edit(rec)
@@ -109,6 +115,29 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
     assert cli.main(["perturb", "--in", str(path), "--level", "1",
                      "--out-dir", str(tmp_path / "out")]) == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith("data error: line 2: step 3:")
+    # a file that is not UTF-8, and a header that is not an object
+    for contents in (b"\xff\xfe\x00garbage\n" + lines[1].encode(),
+                     ("[1]\n" + lines[1]).encode()):
+        path.write_bytes(contents)
+        with pytest.raises(MalformedRecord) as exc:
+            read_episodes(path)
+        assert exc.value.line == 1
+        assert cli.main(["eval", "--in", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 1: ") and err.count("\n") == 1
+
+
+def test_write_records_is_atomic(tmp_path):
+    """A record that cannot be serialized leaves the old file in place and
+    no temporary file behind."""
+    path = tmp_path / "doc.json"
+    write_records(path, [{"a": 1.5}])
+    assert path.read_text() == '{"a":1.5}\n'
+    with pytest.raises(TypeError):
+        write_records(path, [{"a": 2.0}, {"b": object()}])
+    assert path.read_text() == '{"a":1.5}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
 def test_record_round_trip_structure(clean_episode):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bilock import geometry as geo
-from bilock.errors import RotationNearPi
+from bilock.errors import BilockError, RotationNearPi
 from bilock.geometry import Pose, Rotation
 
 
@@ -47,6 +47,14 @@ def test_log_raises_near_pi():
     r = Rotation.from_axis_angle([math.pi - 1e-8, 0.0, 0.0])
     with pytest.raises(RotationNearPi):
         r.log()
+
+
+def test_exp_rejects_non_finite_rotation_vectors():
+    """A rotation vector whose squared norm is not a finite float is an
+    error, not a math domain error or a NaN rotation."""
+    for w in ([math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [1e300, 0.0, 0.0]):
+        with np.errstate(over="ignore"), pytest.raises(BilockError):
+            geo.so3_exp(w)
 
 
 def test_geodesic_identity_cases():

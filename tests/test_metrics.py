@@ -156,13 +156,13 @@ def test_aggregate_report_clean(model, clean_set):
     profiles = [mx.violation_profile(model, e) for e in clean_set]
     outcomes = [mx.classify_outcome(e) for e in clean_set]
     rep = mx.aggregate_report(clean_set, profiles, outcomes)
-    assert rep.outcome_counts["I"] == len(clean_set)
-    assert sum(rep.outcome_counts.values()) == len(clean_set)
-    assert rep.success_rate == 1.0
-    assert rep.wilson_hi == 1.0
-    assert rep.pos_mean_cm <= 1e-8
+    assert rep["outcome_counts"]["I"] == len(clean_set)
+    assert sum(rep["outcome_counts"].values()) == len(clean_set)
+    assert rep["success_rate"] == 1.0
+    assert rep["wilson_hi"] == 1.0
+    assert rep["violation"]["pos_mean_cm"] <= 1e-8
     rep2 = mx.aggregate_report(clean_set, profiles, outcomes)
-    assert rep.to_dict() == rep2.to_dict()
+    assert rep == rep2
 
 
 def test_aggregate_report_empty():
