@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry as geo
 from . import kinematics as kin
 from .errors import BilockError
 from .geometry import Pose, geodesic_distance
@@ -82,33 +83,30 @@ class TransformLock:
             raise ValueError("lock tolerances must be positive")
 
 
-def gripper_poses(model, state):
-    return (kin.forward_kinematics(model.left, state.q_left),
-            kin.forward_kinematics(model.right, state.q_right))
-
-
-def relative_transform(model, state):
-    """Pose of the left gripper expressed in the right gripper frame."""
-    left, right = gripper_poses(model, state)
-    return right.inverse() @ left
+def relative_generic(model, q14):
+    """Left gripper in the right gripper frame as (nested-list R, list p),
+    generic in the scalars of q14 (floats or ``Dual2``)."""
+    rl, tl = kin.forward_kinematics_generic(model.left, q14[:7])
+    rr, tr = kin.forward_kinematics_generic(model.right, q14[7:14])
+    d = [tl[0] - tr[0], tl[1] - tr[1], tl[2] - tr[2]]
+    return geo.gmat_mul(geo.gmat_transpose(rr), rl), geo.gmat_t_vec(rr, d)
 
 
 def relative_of_q14(model, q14):
-    left = kin.forward_kinematics(model.left, q14[:7])
-    right = kin.forward_kinematics(model.right, q14[7:14])
-    return right.inverse() @ left
+    """Pose of the left gripper expressed in the right gripper frame."""
+    return Pose.from_parts(*relative_generic(model, q14))
 
 
 def engage_lock(model, state, control_arm="right", pos_tol=1e-9, rot_tol=1e-8):
     """Capture the current relative transform in the control-gripper frame."""
-    x = relative_transform(model, state)
+    x = relative_of_q14(model, state.q14())
     locked = x if control_arm == "right" else x.inverse()
     return TransformLock(control_arm, locked, pos_tol, rot_tol)
 
 
 def check_preservation(model, state, lock):
     """(pos_err, rot_err, ok) of the current state against the lock."""
-    x = relative_transform(model, state)
+    x = relative_of_q14(model, state.q14())
     cur = x if lock.control_arm == "right" else x.inverse()
     pos_err = float(np.linalg.norm(cur.translation - lock.locked_rel.translation))
     rot_err = geodesic_distance(cur.rotation, lock.locked_rel.rotation)

@@ -90,17 +90,34 @@ def episode_from_record(rec):
     if rec.get("schema_version") != EPISODE_SCHEMA:
         raise SchemaMismatch(
             f"unsupported episode schema {rec.get('schema_version')!r}")
+    if not isinstance(rec["model_ref"], str):
+        raise ValueError(f"model_ref must be a string, got {rec['model_ref']!r}")
+    if not (_is_number(rec["dt"]) and rec["dt"] > 0.0):
+        raise ValueError(f"dt must be a finite number > 0, got {rec['dt']!r}")
     steps = [Step(s["t"], s["obs"], s["act"], s["phase"], s["lock"])
              for s in rec["steps"]]
     for s in steps:
+        if not _is_int(s.t):
+            raise ValueError(f"step t must be an integer, got {s.t!r}")
+        if not isinstance(s.lock, bool):
+            raise ValueError(f"step {s.t}: lock must be true or false, "
+                             f"got {s.lock!r}")
         if not (np.isfinite(s.obs).all() and np.isfinite(s.act).all()):
             raise ValueError(f"step {s.t}: obs and act must be finite")
         if not all(0.0 <= g <= 1.0 for g in (*s.obs[14:], *s.act[14:])):
             raise ValueError(f"step {s.t}: gripper channels must lie in [0, 1]")
     events = [Event(e["t"], e["kind"], e.get("arm")) for e in rec["events"]]
+    for e in events:
+        if not (_is_int(e.t) and 0 <= e.t < len(steps)):
+            raise ValueError(f"event {e.kind!r}: t must be a step index in "
+                             f"[0, {len(steps)}), got {e.t!r}")
     metadata = rec.get("metadata", {})
     _check_metadata(metadata)
     return Episode(rec["model_ref"], rec["dt"], steps, events, metadata)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_number(v):
@@ -109,7 +126,8 @@ def _is_number(v):
 
 
 def _check_metadata(meta):
-    """The metadata the stages read: box pose, control arm, SEW angles."""
+    """The metadata the stages read: box pose, control arm, SEW angles and
+    the IK branch (three flags; absent means the default branch)."""
     box = meta.get("box_init")
     if not (isinstance(box, list) and len(box) == 3
             and all(_is_number(v) for v in box)):
@@ -118,9 +136,14 @@ def _check_metadata(meta):
         raise ValueError("metadata control_arm must be 'left' or 'right', "
                          f"got {meta.get('control_arm')!r}")
     for key in ("psi_left", "psi_right"):
-        if not _is_number(meta.get(key)):
-            raise ValueError(f"metadata {key} must be a number, "
-                             f"got {meta.get(key)!r}")
+        psi = meta.get(key)
+        if not (_is_number(psi) and -math.pi <= psi <= math.pi):
+            raise ValueError(f"metadata {key} must be an angle in [-pi, pi], "
+                             f"got {psi!r}")
+    branch = meta.get("branch", [False, False, False])
+    if not (isinstance(branch, list) and len(branch) == 3
+            and all(isinstance(v, bool) for v in branch)):
+        raise ValueError(f"metadata branch must be 3 booleans, got {branch!r}")
 
 
 def write_records(path, records):

@@ -1,11 +1,13 @@
 """Rigid-body math: rotations, poses, exp/log maps, geodesic distance.
 
 Rotations are stored as 3x3 orthonormal matrices because the curvature
-pipeline consumes matrix derivatives.  Two implementations of the SO(3)
-maps live here: a fast float/numpy path used by the public ``Rotation`` /
-``Pose`` API, and a scalar-generic path (``*_g`` helpers on nested lists)
-that also accepts the dual scalars from :mod:`bilock.autodiff`, used by
-the differentiable kinematics code.
+pipeline consumes matrix derivatives.  The public ``Rotation`` / ``Pose``
+API works on numpy floats.  The ``g*`` helpers do 3x3 math on nested
+lists whose entries may be floats or the dual scalars of
+:mod:`bilock.autodiff`; the kinematic chain is built from them.
+``so3_log`` is generic in the same way, so the pose interpolation of the
+world scripts and the differentiable constraint residual share one SO(3)
+log.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ def vee(m):
 def so3_exp(w):
     """Rotation matrix for a rotation vector (Rodrigues)."""
     w = np.asarray(w, dtype=float)
-    th2 = float(w @ w)
+    with np.errstate(over="ignore"):
+        th2 = float(w @ w)
     if not math.isfinite(th2):
         raise BilockError("rotation vector is not finite (or overflows)")
     if th2 < _SMALL_ANGLE ** 2:
@@ -58,34 +61,43 @@ def so3_exp(w):
 
 
 def so3_log(r):
-    """Rotation vector of a rotation matrix.
+    """Rotation vector of a rotation matrix, as an array.
 
-    Accurate over the full angle range [0, pi - 1e-6]; raises
-    RotationNearPi beyond, where the axis sign becomes ill-defined.
+    r is a 3x3 array or nested list of floats or ``Dual2`` scalars.  The
+    branches switch on the primal angle only, so the map is
+    dual-differentiable everywhere below pi - 1e-6; the series branch keeps
+    it smooth through the identity, where the constraint residual lives.
+    Raises RotationNearPi beyond, where the axis sign becomes ill-defined.
     """
-    r = np.asarray(r, dtype=float)
-    a = vee(r)  # sin(theta) * axis
-    c = 0.5 * (r[0, 0] + r[1, 1] + r[2, 2] - 1.0)
-    s = math.sqrt(float(a @ a))
-    th = math.atan2(s, c)
-    if th > math.pi - _PI_MARGIN:
-        raise RotationNearPi(f"rotation angle {th:.9f} within 1e-6 of pi")
-    if th < _SMALL_ANGLE:
+    a = [(r[2][1] - r[1][2]) * 0.5,  # sin(theta) * axis
+         (r[0][2] - r[2][0]) * 0.5,
+         (r[1][0] - r[0][1]) * 0.5]
+    c = (r[0][0] + r[1][1] + r[2][2] - 1.0) * 0.5
+    s2 = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+    th_val = math.atan2(math.sqrt(ad.value(s2)), ad.value(c))
+    if th_val > math.pi - _PI_MARGIN:
+        raise RotationNearPi(f"rotation angle {th_val:.9f} within 1e-6 of pi")
+    if th_val < _SMALL_ANGLE:
         u = 1.0 - c
         # theta/sin(theta) as a series in (1 - cos theta)
-        g = 1.0 + u / 3.0 + u * u * (2.0 / 15.0) + u ** 3 * (2.0 / 35.0)
-        return g * a
-    if th < _NEAR_PI:
-        return (th / s) * a
+        g = 1.0 + u * (1.0 / 3.0) + u * u * (2.0 / 15.0) + u * u * u * (2.0 / 35.0)
+        return np.array([g * a[0], g * a[1], g * a[2]])
+    s = ad.sqrt(s2)
+    th = ad.atan2(s, c)
+    if th_val < _NEAR_PI:
+        g = th / s
+        return np.array([g * a[0], g * a[1], g * a[2]])
     # Near pi the skew part loses precision; recover the axis from the
-    # symmetric part B = (R + R^T)/2 - c*I = (1-c) * axis axis^T.
-    b = 0.5 * (r + r.T) - c * np.eye(3)
-    d = np.diag(b) / (1.0 - c)
-    k = int(np.argmax(d))
-    axis = b[:, k] / ((1.0 - c) * math.sqrt(d[k]))
-    if float(axis @ a) < 0.0:  # a = sin(theta)*axis fixes the sign
-        axis = -axis
-    return (th / float(np.linalg.norm(axis))) * axis
+    # symmetric part B = (R + R^T)/2 - c*I = (1-c) * axis axis^T, whose
+    # column of largest diagonal entry is parallel to the axis.
+    k = max(range(3), key=lambda i: ad.value(r[i][i]))
+    col = [(r[i][k] + r[k][i]) * 0.5 for i in range(3)]
+    col[k] = col[k] - c
+    n = ad.sqrt(col[0] * col[0] + col[1] * col[1] + col[2] * col[2])
+    if ad.value(col[0] * a[0] + col[1] * a[1] + col[2] * a[2]) < 0.0:
+        n = -n  # a = sin(theta)*axis fixes the sign
+    g = th / n
+    return np.array([g * col[0], g * col[1], g * col[2]])
 
 
 def rotation_angle(r):
@@ -285,32 +297,3 @@ def grot_axis(axis, q):
     return [[c + x * x * v, x * y * v - z * s, x * z * v + y * s],
             [y * x * v + z * s, c + y * y * v, y * z * v - x * s],
             [z * x * v - y * s, z * y * v + x * s, c + z * z * v]]
-
-
-def gso3_log(r):
-    """Scalar-generic SO(3) log on a nested-list matrix.
-
-    Branches on the primal angle only, so it is dual-differentiable away
-    from the pi singularity; the series branch keeps it smooth through the
-    identity, where the constraint residual lives.
-    """
-    a = [(r[2][1] - r[1][2]) * 0.5,
-         (r[0][2] - r[2][0]) * 0.5,
-         (r[1][0] - r[0][1]) * 0.5]
-    c = (r[0][0] + r[1][1] + r[2][2] - 1.0) * 0.5
-    s2 = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
-    cv = ad.value(c)
-    if cv > math.cos(_SMALL_ANGLE):
-        u = 1.0 - c
-        g = 1.0 + u * (1.0 / 3.0) + u * u * (2.0 / 15.0) + u * u * u * (2.0 / 35.0)
-        return [g * a[0], g * a[1], g * a[2]]
-    s = ad.sqrt(s2)
-    th = ad.atan2(s, c)
-    if ad.value(th) > math.pi - _PI_MARGIN:
-        raise RotationNearPi(f"rotation angle {ad.value(th):.9f} within 1e-6 of pi")
-    if ad.value(th) < _NEAR_PI:
-        g = th / s
-        return [g * a[0], g * a[1], g * a[2]]
-    # float-only fallback at large angles (never hit by residual charts)
-    rf = np.array([[ad.value(x) for x in row] for row in r])
-    return list(so3_log(rf))

@@ -5,7 +5,14 @@ at a point S), a revolute elbow (joint 4 at E), and a spherical wrist
 (joints 5-7 at W), with local joint axes alternating z/y and pure-z link
 translations: the layout of an iiwa-14-class manipulator.  Geometry is
 supplied by a config file (``arm_model_v1``), so any arm in the family
-works; forward kinematics and the Jacobian accept arbitrary chains.
+works.
+
+One chain computes every kinematic quantity: ``joint_frames`` walks the
+joints once, generic in the scalars of q (plain floats or the dual scalars
+of :mod:`bilock.autodiff`), and forward kinematics, the geometric
+Jacobian and the SEW angle all read its frames.  It accepts any chain of
+translational offsets and unit joint axes; only the analytic IK needs the
+S-R-S layout.
 
 The redundancy is parameterized by a SEW angle whose reference direction
 is the parallel transport of a fixed tangent vector along the great
@@ -74,6 +81,10 @@ class ArmModel:
             raise ValueError("expected 7 joint axes")
         if len(self.joint_offsets) != 8:
             raise ValueError("expected 8 joint offsets (7 joints + flange)")
+        for i, p in enumerate(self.joint_offsets):
+            if geo.rotation_angle(p.rotation.mat) > 1e-12:
+                raise ValueError(f"joint offset {i} carries a rotation; "
+                                 "only translational offsets are supported")
         norms = np.linalg.norm(self.joint_axes, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("joint axes must be unit norm within 1e-12")
@@ -95,13 +106,11 @@ class ArmModel:
         """(S, a, b, d7): shoulder point, link lengths, flange offset.
 
         Validates the canonical S-R-S layout required by the analytic IK;
-        forward kinematics does not need it.
+        forward kinematics does not need it.  With offsets 1, 2, 5 and 6
+        zero, the three joints of each spherical group share one origin, so
+        their axes meet there.
         """
         offs = [np.asarray(p.translation, dtype=float) for p in self.joint_offsets]
-        for i, p in enumerate(self.joint_offsets):
-            if geo.rotation_angle(p.rotation.mat) > 1e-12:
-                raise ValueError(f"joint offset {i} carries a rotation; "
-                                 "only translational offsets are supported")
         for i in (1, 2, 5, 6):
             if np.linalg.norm(offs[i]) > 1e-12:
                 raise ValueError(f"offset {i} must be zero for a spherical group")
@@ -113,25 +122,12 @@ class ArmModel:
         for i, want in enumerate(pattern):
             if np.linalg.norm(self.joint_axes[i] - np.array(want, dtype=float)) > 1e-12:
                 raise ValueError("joint axes must follow the z/y/z/y/z/y/z pattern")
-        self._check_concurrency(offs)
         return offs[0].copy(), float(offs[3][2]), float(offs[4][2]), float(offs[7][2])
-
-    def _check_concurrency(self, offs):
-        """Axis lines of each spherical group must meet within 1e-9 m."""
-        origins, axes = joint_frames_base(self, np.zeros(7))[:2]
-        for group in ((0, 1, 2), (4, 5, 6)):
-            for i in group:
-                for j in group:
-                    if i >= j:
-                        continue
-                    d = _line_distance(origins[i], axes[i], origins[j], axes[j])
-                    if d > 1e-9:
-                        raise ValueError(
-                            f"axes {i + 1} and {j + 1} do not intersect (gap {d:.2e} m)")
 
     @cached_property
     def _generic(self):
-        """Python-native copies of the chain constants for dual evaluation."""
+        """Python-native copies of the chain constants (offsets are pure
+        translations, checked above)."""
         base_r = [[float(v) for v in row] for row in self.base_pose.rotation.mat]
         base_t = [float(v) for v in self.base_pose.translation]
         offs = [[float(v) for v in p.translation] for p in self.joint_offsets]
@@ -139,71 +135,52 @@ class ArmModel:
         return base_r, base_t, offs, axes
 
 
-def _line_distance(o1, d1, o2, d2):
-    w = o2 - o1
-    cr = np.cross(d1, d2)
-    n = np.linalg.norm(cr)
-    if n < 1e-9:  # parallel: point-to-line distance
-        return float(np.linalg.norm(w - (w @ d1) * d1))
-    return float(abs(w @ cr) / n)
-
-
 # --- forward kinematics ---
 
-def joint_frames_base(model, q):
-    """Joint origins and world-direction axes in the arm base frame.
+def joint_frames(model, q):
+    """World-frame (R, origin) before each of the 7 joints, then the flange.
 
-    Returns (origins (7,3), axes (7,3), flange Pose-in-base).
-    """
-    r = np.eye(3)
-    t = np.zeros(3)
-    origins = np.empty((7, 3))
-    axes = np.empty((7, 3))
-    for i in range(7):
-        t = t + r @ model.joint_offsets[i].translation
-        origins[i] = t
-        axes[i] = r @ model.joint_axes[i]
-        r = r @ geo.so3_exp(model.joint_axes[i] * q[i])
-    t = t + r @ model.joint_offsets[7].translation
-    return origins, axes, Pose.from_parts(r, t)
-
-
-def forward_kinematics(model, q):
-    """World-frame flange pose for joint configuration q (radians)."""
-    flange = joint_frames_base(model, q)[2]
-    return model.base_pose @ flange
-
-
-def forward_kinematics_generic(model, q):
-    """Flange pose as (nested-list R, list t), generic in the scalars of q.
-
-    Accepts plain floats or the dual scalars of :mod:`bilock.autodiff`,
-    which is how derivative information is threaded through the chain.
+    R is a nested-list 3x3 matrix and origin a list; both are generic in
+    the scalars of q, which may be plain floats or the dual scalars of
+    :mod:`bilock.autodiff` (how derivative information is threaded through
+    the chain).  Joint i turns about ``R_i @ joint_axes[i]`` through its
+    origin; the last entry is the flange pose.
     """
     base_r, base_t, offs, axes = model._generic
     r = base_r
-    t = list(base_t)
+    t = base_t
+    frames = []
     for i in range(7):
         off = offs[i]
         if off[0] != 0.0 or off[1] != 0.0 or off[2] != 0.0:
             d = geo.gmat_vec(r, off)
             t = [t[0] + d[0], t[1] + d[1], t[2] + d[2]]
+        frames.append((r, t))
         r = geo.gmat_mul(r, geo.grot_axis(axes[i], q[i]))
-    off = offs[7]
-    d = geo.gmat_vec(r, off)
-    return r, [t[0] + d[0], t[1] + d[1], t[2] + d[2]]
+    d = geo.gmat_vec(r, offs[7])
+    frames.append((r, [t[0] + d[0], t[1] + d[1], t[2] + d[2]]))
+    return frames
+
+
+def forward_kinematics_generic(model, q):
+    """Flange pose as (nested-list R, list t), generic in the scalars of q."""
+    return joint_frames(model, q)[7]
+
+
+def forward_kinematics(model, q):
+    """World-frame flange pose for joint configuration q (radians)."""
+    return Pose.from_parts(*joint_frames(model, q)[7])
 
 
 def geometric_jacobian(model, q):
     """6x7 geometric Jacobian at the flange (rows: linear, angular)."""
-    origins, axes, flange = joint_frames_base(model, q)
-    world = model.base_pose
-    p = world @ flange.translation
+    frames = joint_frames(model, q)
+    p = np.array(frames[7][1])
     jac = np.empty((6, 7))
     for i in range(7):
-        z = world.rotation.apply(axes[i])
-        o = world @ origins[i]
-        jac[:3, i] = np.cross(z, p - o)
+        r, o = frames[i]
+        z = np.array(r) @ model.joint_axes[i]
+        jac[:3, i] = np.cross(z, p - np.array(o))
         jac[3:, i] = z
     return jac
 
@@ -252,9 +229,10 @@ def sew_angle(model, q):
     under pure flange roll (joint 7 does not move S, E, or W).
     """
     s, a, b, d7 = model.srs
-    origins = joint_frames_base(model, q)[0]
-    return _sew_azimuth(s, origins[3], origins[4], model.sew_pole,
-                        model.sew_zero_dir)
+    frames = joint_frames(model, q)
+    to_base = model.base_pose.inverse()
+    return _sew_azimuth(s, to_base @ frames[3][1], to_base @ frames[4][1],
+                        model.sew_pole, model.sew_zero_dir)
 
 
 def branch_of(q):
@@ -357,7 +335,9 @@ def arm_model_from_dict(cfg):
                                    for n in values["joint_offsets"]]
         values["joint_limits"] = np.deg2rad(
             np.asarray(values.pop("joint_limits_deg"), dtype=float))
-        return ArmModel(**values)
+        model = ArmModel(**values)
+        model.srs  # the analytic-IK layout checks, so a bad layout fails here
+        return model
     except KeyError as exc:
         raise ValueError(f"arm model lacks key {exc}") from exc
     except (AttributeError, TypeError) as exc:  # an unknown key, a wrong type

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bimanual as bm
 from . import geometry as geo
-from . import kinematics as kin
 from .autodiff import DiffConfig, jacobian_numeric, value_jacobian_hessian
 from .errors import NoTransportPhase, RankDeficient
 
@@ -55,20 +55,12 @@ def make_constraint(model, q0):
     residual is exactly 0.0 at q0 (as a float and as a ``Dual2`` value) and
     zero wherever the locked transform is preserved.
     """
-    def relative(q):
-        """Left gripper in the right gripper frame: (nested-list R, list p)."""
-        rl, tl = kin.forward_kinematics_generic(model.left, q[:7])
-        rr, tr = kin.forward_kinematics_generic(model.right, q[7:14])
-        d = [tl[0] - tr[0], tl[1] - tr[1], tl[2] - tr[2]]
-        return (geo.gmat_mul(geo.gmat_transpose(rr), rl),
-                geo.gmat_t_vec(rr, d))
-
-    r0, p0 = relative(np.asarray(q0, dtype=float).reshape(14))
+    r0, p0 = bm.relative_generic(model, np.asarray(q0, dtype=float).reshape(14))
     r0_t = geo.gmat_transpose(r0)
 
     def fn(q):
-        rx, p = relative(q)
-        w = geo.gso3_log(geo.gmat_mul(r0_t, rx))
+        rx, p = bm.relative_generic(model, q)
+        w = geo.so3_log(geo.gmat_mul(r0_t, rx))
         return [p[0] - p0[0], p[1] - p0[1], p[2] - p0[2], w[0], w[1], w[2]]
 
     return ConstraintFunction(fn)

@@ -115,6 +115,8 @@ class WorldConfig:
             raise ValueError("substeps must be an integer >= 1")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
+        if not all(-math.pi <= v <= math.pi for v in (self.psi_left, self.psi_right)):
+            raise ValueError("psi_left and psi_right must lie in [-pi, pi]")
         if not (isinstance(self.segment_knots, dict)
                 and set(self.segment_knots) == set(SEGMENTS)):
             raise ValueError(f"segment_knots must give exactly {SEGMENTS}")

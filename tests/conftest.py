@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bilock import configio as cio
+from bilock import geometry as geo
 from bilock import worldsim as ws
 
 
@@ -45,3 +46,22 @@ def random_joint_config(arm, rng, scale=1.0):
 def random_q14(model, rng, scale=1.0):
     return np.concatenate([random_joint_config(model.left, rng, scale),
                            random_joint_config(model.right, rng, scale)])
+
+
+def fk_oracle(arm, q):
+    """Independent straight-line homogeneous-matrix chain: the 4x4 world
+    transform of the flange."""
+    t = np.eye(4)
+    t[:3, :3] = arm.base_pose.rotation.mat
+    t[:3, 3] = arm.base_pose.translation
+    for i in range(7):
+        off = np.eye(4)
+        off[:3, 3] = arm.joint_offsets[i].translation
+        off[:3, :3] = arm.joint_offsets[i].rotation.mat
+        rot = np.eye(4)
+        rot[:3, :3] = geo.so3_exp(arm.joint_axes[i] * q[i])
+        t = t @ off @ rot
+    off = np.eye(4)
+    off[:3, 3] = arm.joint_offsets[7].translation
+    t = t @ off
+    return t

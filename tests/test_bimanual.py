@@ -25,7 +25,7 @@ def test_relative_transform_identity_for_coincident_flanges(model):
     pose = Pose(Rotation.from_axis_angle([0.0, 0.0, 0.3]), [0.0, 0.62, 0.35])
     q_l = kin.inverse_kinematics(model.left, pose, -0.3, enforce_limits=False)
     q_r = kin.inverse_kinematics(model.right, pose, 0.3, enforce_limits=False)
-    x = bm.relative_transform(model, bm.BimanualState(q_l, q_r))
+    x = bm.relative_of_q14(model, np.concatenate([q_l, q_r]))
     assert np.linalg.norm(x.translation) <= 1e-10
     assert geodesic_distance(x.rotation, Rotation.identity()) <= 1e-10
 
@@ -57,9 +57,9 @@ def test_relative_transform_definitional_identity(model):
     rng = np.random.default_rng(31)
     for _ in range(10):
         q = random_q14(model, rng, scale=0.8)
-        state = state_of(model, q)
-        x = bm.relative_transform(model, state)
-        left, right = bm.gripper_poses(model, state)
+        x = bm.relative_of_q14(model, q)
+        left = kin.forward_kinematics(model.left, q[:7])
+        right = kin.forward_kinematics(model.right, q[7:14])
         recomposed = right @ x
         assert np.linalg.norm(recomposed.translation - left.translation) <= 1e-12
         assert geodesic_distance(recomposed.rotation, left.rotation) <= 1e-12

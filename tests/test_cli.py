@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -72,7 +73,13 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
                 "unknown_world_key": dict(world, gravity=9.81),
                 "zero_substeps": dict(world, substeps=0),
                 "no_joint_axes": dict(arm, joint_axes=None),
-                "no_descend": dict(world, segment_knots={"approach": 12})}
+                "no_descend": dict(world, segment_knots={"approach": 12}),
+                "psi_out_of_range": dict(world, psi_left=4.0),
+                "rotated_offset": dict(arm, joint_offsets=[
+                    dict(n, rpy_deg=[0, 0, 30]) if i == 3 else n
+                    for i, n in enumerate(arm["joint_offsets"])]),
+                "x_axis_joint_7": dict(arm, joint_axes=[
+                    *arm["joint_axes"][:6], [1, 0, 0]])}
     for name, doc in bad_docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(
             {k: v for k, v in doc.items() if v is not None}))
@@ -96,6 +103,9 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
              ["gen", "--world", str(tmp_path / "zero_substeps.json")],
              ["gen", "--arm-model-left", str(tmp_path / "no_joint_axes.json")],
              ["gen", "--world", str(tmp_path / "no_descend.json")],
+             ["gen", "--world", str(tmp_path / "psi_out_of_range.json")],
+             ["gen", "--arm-model-left", str(tmp_path / "rotated_offset.json")],
+             ["gen", "--arm-model-left", str(tmp_path / "x_axis_joint_7.json")],
              ["--config", str(magic), "curvature", "--in", data],
              ["perturb", "--in", data, "--eta", "-1"],
              ["perturb", "--in", data, "--eta", "nan"],
@@ -109,6 +119,20 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG, args
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+def test_overflowing_eta_is_one_line_numerical_failure(clean_run, tmp_path,
+                                                       capsys):
+    """An eta whose rotation vectors overflow ends as exit 4 with one line,
+    and numpy prints no overflow warning on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["perturb", "--in", str(clean_run / "episodes.jsonl"),
+                    "--out-dir", str(tmp_path / "o"), "--eta", "1e300"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NUMERIC
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_workers_is_a_gen_flag(clean_run, tmp_path):

@@ -84,10 +84,11 @@ def test_missing_field_is_malformed(tmp_path, clean_set):
 
 
 def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
-    """Gripper channels outside [0, 1], non-finite joint channels and
-    metadata the stages read but the record lacks are data errors at the
-    record's line; so are a file that is not UTF-8 and a header that is not
-    an object, at line 1."""
+    """Gripper channels outside [0, 1], non-finite joint channels, fields
+    of the wrong type or range (dt, step t and lock, model_ref, branch, SEW
+    angles, event times) and metadata the stages read but the record lacks
+    are data errors at the record's line; so are a file that is not UTF-8
+    and a header that is not an object, at line 1."""
     path = tmp_path / "eps.jsonl"
     write_episodes(path, clean_set[:1])
     lines = path.read_text().splitlines()
@@ -101,9 +102,21 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
     def nan_joint(rec):
         rec["steps"][3]["act"][2] = float("nan")
 
+    def step(key, v):
+        return lambda rec: rec["steps"][3].update({key: v})
+
+    def meta(key, v):
+        return lambda rec: rec["metadata"].update({key: v})
+
+    def late_event(rec):
+        rec["events"][0]["t"] = 10 ** 6
+
     edits = [drop("box_init"), drop("control_arm"), drop("psi_left"),
-             lambda rec: rec["metadata"].update(box_init=[0.0, 0.6]), nan_joint,
-             gripper]
+             meta("box_init", [0.0, 0.6]), nan_joint,
+             lambda rec: rec.update(dt="x"), lambda rec: rec.update(dt=-1.0),
+             step("t", "a"), step("lock", "yes"),
+             lambda rec: rec.update(model_ref=5), meta("branch", "xyz"),
+             meta("psi_left", 1e300), late_event, gripper]
     for edit in edits:
         rec = json.loads(lines[1])
         edit(rec)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bilock import autodiff as ad
 from bilock import geometry as geo
 from bilock.errors import BilockError, RotationNearPi
 from bilock.geometry import Pose, Rotation
@@ -49,11 +52,61 @@ def test_log_raises_near_pi():
         r.log()
 
 
+def _zyz(x):
+    """Rz(x0) Ry(x1) Rz(x2) as a nested list, generic in the scalars of x."""
+    return geo.gmat_mul(geo.gmat_mul(geo.grot_z(x[0]), geo.grot_y(x[1])),
+                        geo.grot_z(x[2]))
+
+
+def _zyz_turning_by(theta, b, s):
+    """ZYZ angles of a rotation through theta.  The trace of Rz Ry(beta) Rz
+    is (1 + cos beta) cos(alpha + gamma) + cos beta; beta = b * theta with
+    b < 1 leaves alpha + gamma = phi in [0, theta], split by s."""
+    beta = b * theta
+    cos_phi = ((1.0 + 2.0 * math.cos(theta) - math.cos(beta))
+               / (1.0 + math.cos(beta)))
+    phi = math.acos(min(1.0, max(-1.0, cos_phi)))
+    return np.array([s * phi, beta, (1.0 - s) * phi])
+
+
+def _log_of_zyz(x):
+    return geo.so3_log(_zyz(x))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(cut=st.sampled_from([geo._SMALL_ANGLE, geo._NEAR_PI]),
+       side=st.sampled_from([-1.0, 1.0]), rel=st.floats(1e-6, 1e-2),
+       b=st.floats(0.0, 0.9), s=st.floats(0.0, 1.0))
+def test_log_dual_matches_float_at_branch_switches(cut, side, rel, b, s):
+    """On both sides of the series cutoff and of the symmetric-part switch,
+    a Dual2 pass gives the float value, and its Jacobian matches central
+    differences of the float map."""
+    x = _zyz_turning_by(cut * (1.0 + side * rel), b, s)
+    angle = geo.rotation_angle(np.array(_zyz(x)))
+    assert (angle > cut) == (side > 0.0)
+    val, jac, _ = ad.value_jacobian_hessian(_log_of_zyz, x, ad.DiffConfig("dual"))
+    val_fd, jac_fd, _ = ad.value_jacobian_hessian(_log_of_zyz, x,
+                                                  ad.DiffConfig("fd"))
+    assert np.abs(val - val_fd).max() <= 1e-15
+    assert np.abs(jac - jac_fd).max() <= 1e-6
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(eps=st.floats(2e-8, 0.98e-6), b=st.floats(0.0, 0.9),
+       s=st.floats(0.0, 1.0))
+def test_log_raises_within_margin_of_pi_for_both_scalar_kinds(eps, b, s):
+    x = _zyz_turning_by(math.pi - eps, b, s)
+    assert math.pi - geo.rotation_angle(np.array(_zyz(x))) < 1e-6
+    for q in (x, ad.seed_duals2(x)):
+        with pytest.raises(RotationNearPi):
+            geo.so3_log(_zyz(q))
+
+
 def test_exp_rejects_non_finite_rotation_vectors():
     """A rotation vector whose squared norm is not a finite float is an
     error, not a math domain error or a NaN rotation."""
     for w in ([math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [1e300, 0.0, 0.0]):
-        with np.errstate(over="ignore"), pytest.raises(BilockError):
+        with pytest.raises(BilockError):
             geo.so3_exp(w)
 
 
