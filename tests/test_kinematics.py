@@ -54,6 +54,17 @@ def test_fk_matches_independent_oracle(model):
                 assert geodesic_distance(rot, t[:3, :3]) <= 1e-12
 
 
+def test_generic_fk_matches_float_path(model):
+    rng = np.random.default_rng(21)
+    arm = model.left
+    for _ in range(20):
+        q = random_joint_config(arm, rng)
+        r, t = kin.forward_kinematics_generic(arm, q.astype(object))
+        pose = kin.forward_kinematics(arm, q)
+        assert np.allclose(np.array(t, dtype=float), pose.translation, atol=1e-14)
+        assert np.allclose(np.array(r, dtype=float), pose.rotation.mat, atol=1e-14)
+
+
 def test_jacobian_single_joint_lever_arm():
     zero = Pose.identity()
     offsets = [zero] * 8
