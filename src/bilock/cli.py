@@ -75,9 +75,12 @@ def run_gen(cfg, model, world_cfg, _episodes, out):
 
 def run_perturb(cfg, model, _world_cfg, episodes, out):
     # raw volatility overrides the named level
-    selector = cfg.level if cfg.eta is None else float(cfg.eta)
-    level_tag, eta = pb.level_and_eta(selector)
-    perturbed = pb.perturb_dataset(model, episodes, selector, cfg.master_seed)
+    if cfg.eta is None:
+        level_tag, eta = cfg.level, pb.LEVEL_ETAS[cfg.level]
+    else:
+        level_tag, eta = "raw", float(cfg.eta)
+    perturbed = pb.perturb_dataset(model, episodes, level_tag, eta,
+                                   cfg.master_seed)
     summary = pb.dataset_violation_summary(model, perturbed,
                                            window=cfg.window, stride=cfg.stride)
     summary.update({"schema_version": "perturb_summary_v1",
@@ -119,9 +122,9 @@ def run_curvature(cfg, model, world_cfg, episodes, out):
         f = mf.constraint_for_episode(model, ep)
         series, gaps = mf.rollout_curvature_series(
             f, ep, diff, cfg.rank_tol, cfg.knot_stride)
-        outcome = mx.classify_outcome(ws.replay_episode(model, world_cfg, ep))
-        rows.append({"episode": i, "outcome": outcome.category,
-                     "series": series, "gaps": gaps})
+        rows.append({"episode": i, "series": series, "gaps": gaps,
+                     "outcome": mx.classify_outcome(
+                         ws.replay_episode(model, world_cfg, ep))})
     all_series = [row["series"] for row in rows]
     outcomes = [row["outcome"] for row in rows]
     if all(not s for s in all_series):

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 from . import bimanual as bm
 from . import kinematics as kin
 from . import worldsim as ws
+from .episodes import is_int, is_real
 
 PIPELINE_SCHEMA = "pipeline_config_v1"
 
@@ -46,13 +47,22 @@ class PipelineConfig:
     custom_distribution: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for f in fields(self):  # annotations are strings here
+            v = getattr(self, f.name)
+            if f.type == "str" and not isinstance(v, str):
+                raise ValueError(f"{f.name} must be a string, got {v!r}")
+            if f.type == "int" and not is_int(v):
+                raise ValueError(f"{f.name} must be an integer, got {v!r}")
+            if f.type == "float" and not (is_real(v) or (f.name == "eta"
+                                                         and v is None)):
+                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         if self.n_episodes < 1:
             raise ValueError("n_episodes must be at least 1")
         if self.distribution not in ("train", "eval", "custom"):
             raise ValueError("distribution must be train, eval, or custom")
         if self.level not in (0, 1, 2, 3):
             raise ValueError("perturbation level must be 0..3")
-        if self.eta is not None and not 0.0 <= self.eta < float("inf"):
+        if self.eta is not None and self.eta < 0.0:
             raise ValueError("eta must be a finite non-negative number")
         if self.diff_mode not in ("dual", "fd"):
             raise ValueError("diff_mode must be dual or fd")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +30,7 @@ GRASP_ATTACH = "grasp_attach"
 GRASP_DETACH = "grasp_detach"
 BOX_DROP = "box_drop"
 PLACED = "placed"
+EVENT_KINDS = (GRASP_ATTACH, GRASP_DETACH, BOX_DROP, PLACED)
 
 
 @dataclass
@@ -92,13 +94,13 @@ def episode_from_record(rec):
             f"unsupported episode schema {rec.get('schema_version')!r}")
     if not isinstance(rec["model_ref"], str):
         raise ValueError(f"model_ref must be a string, got {rec['model_ref']!r}")
-    if not (_is_number(rec["dt"]) and rec["dt"] > 0.0):
+    if not (is_real(rec["dt"]) and rec["dt"] > 0.0):
         raise ValueError(f"dt must be a finite number > 0, got {rec['dt']!r}")
     steps = [Step(s["t"], s["obs"], s["act"], s["phase"], s["lock"])
              for s in rec["steps"]]
-    for s in steps:
-        if not _is_int(s.t):
-            raise ValueError(f"step t must be an integer, got {s.t!r}")
+    for i, s in enumerate(steps):
+        if not (is_int(s.t) and s.t == i):
+            raise ValueError(f"step {i}: t must equal its index, got {s.t!r}")
         if not isinstance(s.lock, bool):
             raise ValueError(f"step {s.t}: lock must be true or false, "
                              f"got {s.lock!r}")
@@ -108,7 +110,12 @@ def episode_from_record(rec):
             raise ValueError(f"step {s.t}: gripper channels must lie in [0, 1]")
     events = [Event(e["t"], e["kind"], e.get("arm")) for e in rec["events"]]
     for e in events:
-        if not (_is_int(e.t) and 0 <= e.t < len(steps)):
+        if e.kind not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {e.kind!r}")
+        if e.arm not in ("left", "right", None):
+            raise ValueError(f"event {e.kind!r}: arm must be 'left', 'right' "
+                             f"or null, got {e.arm!r}")
+        if not (is_int(e.t) and 0 <= e.t < len(steps)):
             raise ValueError(f"event {e.kind!r}: t must be a step index in "
                              f"[0, {len(steps)}), got {e.t!r}")
     metadata = rec.get("metadata", {})
@@ -116,13 +123,20 @@ def episode_from_record(rec):
     return Episode(rec["model_ref"], rec["dt"], steps, events, metadata)
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
+def is_int(v):
+    """An integer that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _is_number(v):
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+def is_real(v):
+    """A finite real number that is not a bool; an integer too large for a
+    float does not count."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
 
 
 def _check_metadata(meta):
@@ -130,14 +144,14 @@ def _check_metadata(meta):
     the IK branch (three flags; absent means the default branch)."""
     box = meta.get("box_init")
     if not (isinstance(box, list) and len(box) == 3
-            and all(_is_number(v) for v in box)):
+            and all(is_real(v) for v in box)):
         raise ValueError(f"metadata box_init must be 3 numbers, got {box!r}")
     if meta.get("control_arm") not in ("left", "right"):
         raise ValueError("metadata control_arm must be 'left' or 'right', "
                          f"got {meta.get('control_arm')!r}")
     for key in ("psi_left", "psi_right"):
         psi = meta.get(key)
-        if not (_is_number(psi) and -math.pi <= psi <= math.pi):
+        if not (is_real(psi) and -math.pi <= psi <= math.pi):
             raise ValueError(f"metadata {key} must be an angle in [-pi, pi], "
                              f"got {psi!r}")
     branch = meta.get("branch", [False, False, False])
@@ -185,6 +199,8 @@ def read_episodes(path, return_header=False):
                 raise MalformedRecord(f"not UTF-8 ({exc.reason})", lineno) from exc
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(f"invalid JSON ({exc.msg})", lineno) from exc
+            except ValueError as exc:  # an integer beyond the digit limit
+                raise MalformedRecord(f"invalid JSON ({exc})", lineno) from exc
             if not isinstance(rec, dict):
                 raise MalformedRecord("record is not a JSON object", lineno)
             if lineno == 1:
@@ -197,7 +213,8 @@ def read_episodes(path, return_header=False):
                 episodes.append(episode_from_record(rec))
             except SchemaMismatch:
                 raise
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, OverflowError, TypeError,
+                    ValueError) as exc:
                 raise MalformedRecord(str(exc), lineno) from exc
     if header is None:
         raise MalformedRecord("missing dataset header", 1)

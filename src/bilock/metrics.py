@@ -10,7 +10,6 @@ rotation (geodesic), evaluated at knot points only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -24,35 +23,12 @@ from .geometry import geodesic_distance
 CATEGORIES = ("I", "II", "III", "IV")
 
 
-@dataclass
-class WindowRecord:
-    window_start_t: int
-    reference_rel: object
-    pos_err: np.ndarray
-    rot_err: np.ndarray
-
-
-@dataclass
-class ViolationProfile:
-    windows: list
-    pos_mean: float
-    pos_std: float
-    pos_max: float
-    rot_mean: float
-    rot_std: float
-    rot_max: float
-
-    def all_pos_errors(self):
-        return np.concatenate([w.pos_err for w in self.windows])
-
-    def all_rot_errors(self):
-        return np.concatenate([w.rot_err for w in self.windows])
-
-
 def violation_profile(model, episode, window=16, stride=None):
     """Windowed relative-transform errors over the transport knots.
 
-    With window=1 every knot is its own reference and all errors vanish.
+    Returns (pos_err, rot_err): one entry per knot of each window, the
+    windows in order.  With window=1 every knot is its own reference and
+    all errors vanish.
     """
     if stride is None:
         stride = max(1, window // 2)
@@ -61,40 +37,19 @@ def violation_profile(model, episode, window=16, stride=None):
         raise NoTransportPhase("episode has no transport-phase knots")
     rels = [bm.relative_of_q14(model, episode.steps[i].act[:14])
             for i in transport]
-    windows = []
+    pos = []
+    rot = []
     for start in range(0, len(transport), stride):
         ref = rels[start]
-        chunk = rels[start:start + window]
-        pos = np.array([np.linalg.norm(x.translation - ref.translation)
-                        for x in chunk])
-        rot = np.array([geodesic_distance(x.rotation, ref.rotation)
-                        for x in chunk])
-        windows.append(WindowRecord(episode.steps[transport[start]].t, ref,
-                                    pos, rot))
-    pos = np.concatenate([w.pos_err for w in windows])
-    rot = np.concatenate([w.rot_err for w in windows])
-    return ViolationProfile(windows, float(pos.mean()), float(pos.std()),
-                            float(pos.max()), float(rot.mean()),
-                            float(rot.std()), float(rot.max()))
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Task outcome category I..IV; I and II count as binary success."""
-
-    category: str
-
-    def __post_init__(self):
-        if self.category not in CATEGORIES:
-            raise ValueError(f"unknown category {self.category!r}")
-
-    @property
-    def success(self):
-        return self.category in ("I", "II")
+        for x in rels[start:start + window]:
+            pos.append(np.linalg.norm(x.translation - ref.translation))
+            rot.append(geodesic_distance(x.rotation, ref.rotation))
+    return np.array(pos), np.array(rot)
 
 
 def classify_outcome(episode):
-    """Category from the world event log.
+    """Category "I".."IV" from the world event log; I and II count as
+    binary success.
 
     I:   placed, both grippers attached throughout transport;
     II:  placed despite a grasp detach during transport;
@@ -111,10 +66,10 @@ def classify_outcome(episode):
         and episode.steps[e.t].phase == "transport"
         for e in episode.events)
     if placed:
-        return Outcome("II" if detach_in_transport else "I")
+        return "II" if detach_in_transport else "I"
     if attaches == 2 and dropped:
-        return Outcome("III")
-    return Outcome("IV")
+        return "III"
+    return "IV"
 
 
 def wilson_interval(successes, trials, confidence=0.95):
@@ -134,9 +89,9 @@ def wilson_interval(successes, trials, confidence=0.95):
 
 def violation_table(profiles):
     """Violation-table row: mean, spread and maximum of the pooled per-knot
-    errors of the profiles, in centimeters and degrees."""
-    pos = np.concatenate([p.all_pos_errors() for p in profiles])
-    rot = np.concatenate([p.all_rot_errors() for p in profiles])
+    errors of the (pos_err, rot_err) profiles, in centimeters and degrees."""
+    pos = np.concatenate([pos for pos, _ in profiles])
+    rot = np.concatenate([rot for _, rot in profiles])
     return {
         "pos_mean_cm": float(pos.mean() * 100.0),
         "pos_std_cm": float(pos.std() * 100.0),
@@ -157,8 +112,8 @@ def aggregate_report(episodes, profiles, outcomes, window=16, stride=8,
         raise InvalidCounts("episodes, profiles, outcomes length mismatch")
     counts = {c: 0 for c in CATEGORIES}
     for o in outcomes:
-        counts[o.category] += 1
-    successes = sum(1 for o in outcomes if o.success)
+        counts[o] += 1
+    successes = counts["I"] + counts["II"]
     lo, hi = wilson_interval(successes, len(outcomes), confidence)
     return {"schema_version": "eval_report_v1",
             "n_episodes": len(episodes), "outcome_counts": counts,

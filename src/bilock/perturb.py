@@ -12,13 +12,17 @@ Rotation coordinates carry ``ROT_SCALE`` times the translation
 volatility.  The scale is the 0.71 deg/cm orientation-to-position error
 ratio of the target violation tables, converted to rad/m; with equal
 volatilities the ratio would come out at 0.573 deg/cm instead.
+
+A dataset is perturbed at one translation volatility eta, passed as a
+plain number together with its metadata tag: a level index with its
+``LEVEL_ETAS`` entry, or "raw" with any finite eta >= 0.  The mean
+reversion ``OU_ALPHA`` and the unit time step are fixed.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,74 +35,39 @@ from .seeding import rng_from
 # rad/m of rotation volatility per translation volatility: 0.71 deg/cm
 ROT_SCALE = 0.71 * math.pi / 1.8
 
+# eta of perturbation levels 0..3 of the degradation study
 LEVEL_ETAS = (0.0, 0.001, 0.0025, 0.005)
 
+# mean reversion per control step: dZ = -OU_ALPHA Z dt + eta dW, dt = 1
+OU_ALPHA = 0.01
 
-@dataclass(frozen=True)
-class PerturbationLevel:
-    """Named volatility levels of the degradation study."""
-
-    level: int
-    eta: float = None
-
-    def __post_init__(self):
-        if self.level not in (0, 1, 2, 3):
-            raise ValueError("perturbation level must be 0..3")
-        expected = LEVEL_ETAS[self.level]
-        if self.eta is None:
-            object.__setattr__(self, "eta", expected)
-        elif self.eta != expected:
-            raise ValueError(
-                f"level {self.level} is defined as eta={expected}, got {self.eta}")
+# share of perturbed knots that may be lost to IK failure in a dataset
+MAX_FAILURE_RATE = 1e-3
 
 
-@dataclass(frozen=True)
-class OuParams:
-    """dZ = -alpha Z dt + eta dW, discretized per control step."""
-
-    eta: float
-    alpha: float = 0.01
-    dt: float = 1.0
-    z0: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    rot_scale: float = ROT_SCALE
-
-    def __post_init__(self):
-        object.__setattr__(self, "z0", np.asarray(self.z0, dtype=float).reshape(6))
-        if self.alpha < 0.0 or self.eta < 0.0 or self.dt <= 0.0:
-            raise ValueError("require alpha >= 0, eta >= 0, dt > 0")
-        if self.alpha * self.dt >= 1.0:
-            raise ValueError("alpha*dt must be below 1 for a stable step")
-
-
-def ou_path(params, n_steps, seed):
-    """(n_steps, 6) OU sample path starting at z0; deterministic per seed.
+def ou_path(eta, n_steps, seed):
+    """(n_steps, 6) OU sample path starting at 0; deterministic per seed.
 
     The noise is generated at unit volatility and scaled, so paths are
     exactly linear in eta for a fixed seed.
     """
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
     rng = rng_from(seed)
-    rho = 1.0 - params.alpha * params.dt
-    sq = math.sqrt(params.dt)
+    rho = 1.0 - OU_ALPHA
     unit = np.zeros((n_steps, 6))
     z = np.zeros(6)
     for k in range(1, n_steps):
-        z = rho * z + sq * rng.standard_normal(6)
+        z = rho * z + rng.standard_normal(6)
         unit[k] = z
-    scale = np.array([params.eta] * 3 + [params.eta * params.rot_scale] * 3)
-    path = unit * scale
-    if np.any(params.z0 != 0.0):
-        decay = rho ** np.arange(n_steps)
-        path = path + decay[:, None] * params.z0
-    return path
+    return unit * np.array([eta] * 3 + [eta * ROT_SCALE] * 3)
 
 
-def ou_variance(params, k):
+def ou_variance(eta, k):
     """Closed-form per-coordinate variance of the translation block at
-    step k (rotation block scales by rot_scale**2)."""
-    rho = 1.0 - params.alpha * params.dt
-    if rho == 1.0:  # no mean reversion: plain random walk
-        return params.eta ** 2 * params.dt * k
-    return params.eta ** 2 * params.dt * (1.0 - rho ** (2 * k)) / (1.0 - rho ** 2)
+    step k (rotation block scales by ROT_SCALE**2)."""
+    rho = 1.0 - OU_ALPHA
+    return eta ** 2 * (1.0 - rho ** (2 * k)) / (1.0 - rho ** 2)
 
 
 def _perturbed_pose(pose, z):
@@ -107,29 +76,17 @@ def _perturbed_pose(pose, z):
     return Pose.from_parts(rot, pose.translation + pose.rotation.mat @ z[:3])
 
 
-def level_and_eta(level):
-    """(level tag, eta) of a PerturbationLevel, a level index, or a raw
-    volatility (tagged "raw")."""
-    if isinstance(level, PerturbationLevel):
-        return level.level, level.eta
-    if isinstance(level, int):
-        pl = PerturbationLevel(level)
-        return pl.level, pl.eta
-    return "raw", float(level)  # raw volatility overrides the level table
-
-
-def perturb_episode(model, episode, level, seed, params=None):
+def perturb_episode(model, episode, level, eta, seed):
     """Episode with OU-perturbed subordinate commands at transport knots.
 
-    level may be a PerturbationLevel, a level index, or a raw volatility.
-    Non-transport phases, observations, gripper channels, and the control
-    arm are untouched.  Knots whose perturbed pose has no IK solution are
-    left clean and counted in metadata["ik_failures"].
+    level is the metadata tag of the volatility eta: a level index, or
+    "raw".  Non-transport phases, observations, gripper channels, and the
+    control arm are untouched.  Knots whose perturbed pose has no IK
+    solution are left clean and counted in metadata["ik_failures"].
     """
-    level_tag, eta = level_and_eta(level)
     out = copy.deepcopy(episode)
     out.metadata = dict(out.metadata)
-    out.metadata.update({"perturbation_level": level_tag, "eta": eta,
+    out.metadata.update({"perturbation_level": level, "eta": eta,
                          "perturb_seed": int(seed), "ik_failures": 0})
     if eta == 0.0:
         return out
@@ -144,11 +101,7 @@ def perturb_episode(model, episode, level, seed, params=None):
     transport = out.transport_indices()
     if not transport:
         return out
-    if params is None:
-        params = OuParams(eta=eta)
-    elif params.eta != eta:
-        raise ValueError("params.eta inconsistent with the requested level")
-    path = ou_path(params, len(transport), seed)
+    path = ou_path(eta, len(transport), seed)
 
     failures = 0
     for j, idx in enumerate(transport):
@@ -168,22 +121,18 @@ def perturb_episode(model, episode, level, seed, params=None):
     return out
 
 
-def perturb_dataset(model, episodes, level, master_seed, max_failure_rate=1e-3):
+def perturb_dataset(model, episodes, level, eta, master_seed):
     """Perturb every episode; per-episode seeds derive from master_seed
     and the episode index only, so levels share noise realizations."""
-    out = []
-    failures = 0
-    knots = 0
-    for i, ep in enumerate(episodes):
-        seed = int(rng_from(master_seed, i).integers(2 ** 62))
-        pe = perturb_episode(model, ep, level, seed)
-        failures += pe.metadata["ik_failures"]
-        knots += len(pe.transport_indices())
-        out.append(pe)
-    if knots and failures / knots > max_failure_rate:
+    out = [perturb_episode(model, ep, level, eta,
+                           int(rng_from(master_seed, i).integers(2 ** 62)))
+           for i, ep in enumerate(episodes)]
+    failures = sum(pe.metadata["ik_failures"] for pe in out)
+    knots = sum(len(pe.transport_indices()) for pe in out)
+    if knots and failures / knots > MAX_FAILURE_RATE:
         raise IkFailureDuringPerturb(
             f"{failures}/{knots} perturbed knots lost to IK failure "
-            f"(> {max_failure_rate:.1%}); workspace margins too tight "
+            f"(> {MAX_FAILURE_RATE:.1%}); workspace margins too tight "
             "for this volatility")
     return out
 
@@ -196,5 +145,5 @@ def dataset_violation_summary(model, episodes, window=16, stride=8):
     profiles = [violation_profile(model, ep, window=window, stride=stride)
                 for ep in episodes]
     summary = violation_table(profiles)
-    summary["n_knot_errors"] = sum(p.all_pos_errors().size for p in profiles)
+    summary["n_knot_errors"] = sum(pos.size for pos, _ in profiles)
     return summary

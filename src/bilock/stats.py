@@ -1,34 +1,19 @@
 """KDE with Scott's-rule bandwidths, multi-way JS divergence, correlations.
 
-The Jensen-Shannon divergence of m distributions is H(mean) minus the
-mean of the entropies, evaluated by trapezoidal quadrature on a shared
-grid; it is bounded by ln(m), attained by pairwise-disjoint densities.
+Densities are plain arrays: ``kde_pdf`` samples a Gaussian KDE on a grid
+``xs``, and ``js_divergence`` takes such samples on one shared grid.  The
+Jensen-Shannon divergence of m distributions is H(mean) minus the mean of
+the entropies, evaluated by trapezoidal quadrature on that grid; it is
+bounded by ln(m), attained by pairwise-disjoint densities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSample, GridTooCoarse, InsufficientCategory
-
-
-@dataclass(frozen=True)
-class Grid:
-    lo: float
-    hi: float
-    n_points: int = 2048
-
-    def __post_init__(self):
-        if not self.hi > self.lo:
-            raise ValueError("grid requires lo < hi")
-        if self.n_points < 16:
-            raise ValueError("grid requires at least 16 points")
-
-    def xs(self):
-        return np.linspace(self.lo, self.hi, self.n_points)
 
 
 def scott_bandwidth(samples):
@@ -42,31 +27,16 @@ def scott_bandwidth(samples):
     return sd * x.size ** (-0.2)
 
 
-@dataclass
-class Kde1d:
-    """Gaussian kernel density estimate on the line."""
-
-    samples: np.ndarray
-    bandwidth: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float).reshape(-1)
-        if self.samples.size == 0:
-            raise DegenerateSample("KDE of an empty sample")
-        if self.bandwidth <= 0.0:
-            raise ValueError("bandwidth must be positive")
-
-    @classmethod
-    def from_samples(cls, samples, bandwidth=None):
-        if bandwidth is None:
-            bandwidth = scott_bandwidth(samples)
-        return cls(np.asarray(samples, dtype=float), float(bandwidth))
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self.samples) / self.bandwidth
-        norm = self.bandwidth * math.sqrt(2.0 * math.pi) * self.samples.size
-        return np.exp(-0.5 * z * z).sum(axis=-1) / norm
+def kde_pdf(samples, bandwidth, xs):
+    """Gaussian kernel density estimate of samples, evaluated at xs."""
+    samples = np.asarray(samples, dtype=float).reshape(-1)
+    if samples.size == 0:
+        raise DegenerateSample("KDE of an empty sample")
+    if not bandwidth > 0.0:
+        raise ValueError("bandwidth must be positive")
+    z = (np.asarray(xs, dtype=float)[..., None] - samples) / bandwidth
+    norm = bandwidth * math.sqrt(2.0 * math.pi) * samples.size
+    return np.exp(-0.5 * z * z).sum(axis=-1) / norm
 
 
 def _entropy(p, xs):
@@ -75,29 +45,17 @@ def _entropy(p, xs):
     return -float(np.trapezoid(integrand, xs))
 
 
-def _density_values(density, xs):
-    if hasattr(density, "pdf"):
-        return np.asarray(density.pdf(xs), dtype=float)
-    if callable(density):
-        return np.asarray(density(xs), dtype=float)
-    vals = np.asarray(density, dtype=float)
-    if vals.shape != xs.shape:
-        raise ValueError("density array does not match the grid")
-    return vals
-
-
-def js_divergence(densities, grid):
-    """Multi-way Jensen-Shannon divergence in nats on a shared grid.
+def js_divergence(densities, xs):
+    """Multi-way Jensen-Shannon divergence in nats of densities sampled on
+    the shared grid xs.
 
     Each density is integrated on the grid and must capture its mass to
     within 1e-2 before renormalization, else the grid is too coarse.
     """
     if len(densities) < 2:
         raise ValueError("need at least two densities")
-    xs = grid.xs()
     ps = []
-    for i, d in enumerate(densities):
-        vals = _density_values(d, xs)
+    for i, vals in enumerate(densities):
         mass = float(np.trapezoid(vals, xs))
         if abs(mass - 1.0) > 1e-2:
             raise GridTooCoarse(
@@ -155,20 +113,18 @@ def _category_bandwidth(values):
         return 1e-6 * scale
 
 
-def outcome_conditioned_js(curvature_series, outcomes, statistic="mean",
-                           n_points=2048):
+def outcome_conditioned_js(curvature_series, outcomes, statistic="mean"):
     """JS divergence of a per-rollout curvature statistic across outcomes.
 
     curvature_series: one iterable of Kretschmann values per rollout.
-    outcomes: matching Outcome objects (or category strings).  Full
-    failures are excluded: the constrained motion never happens there.
+    outcomes: the matching category strings.  Full failures are excluded:
+    the constrained motion never happens there.
     """
     if statistic not in ("mean", "max"):
         raise ValueError("statistic must be 'mean' or 'max'")
     reducer = np.mean if statistic == "mean" else np.max
     groups = {"I": [], "II": [], "III": []}
-    for series, outcome in zip(curvature_series, outcomes):
-        cat = getattr(outcome, "category", outcome)
+    for series, cat in zip(curvature_series, outcomes):
         if cat not in groups:
             continue
         vals = np.asarray(list(series), dtype=float)
@@ -179,16 +135,11 @@ def outcome_conditioned_js(curvature_series, outcomes, statistic="mean",
         if len(vals) < 2:
             raise InsufficientCategory(
                 f"category {cat} has {len(vals)} rollouts; need at least 2")
-    kdes = []
-    pooled = []
-    h_max = 0.0
-    for cat in ("I", "II", "III"):
-        vals = np.asarray(groups[cat], dtype=float)
-        h = _category_bandwidth(vals)
-        h_max = max(h_max, h)
-        kdes.append(Kde1d(vals, h))
-        pooled.append(vals)
-    pooled = np.concatenate(pooled)
-    grid = Grid(float(pooled.min() - 3.0 * h_max),
-                float(pooled.max() + 3.0 * h_max), n_points)
-    return js_divergence(kdes, grid)
+    samples = [np.asarray(groups[cat]) for cat in ("I", "II", "III")]
+    bandwidths = [_category_bandwidth(vals) for vals in samples]
+    pooled = np.concatenate(samples)
+    h_max = max(bandwidths)
+    xs = np.linspace(float(pooled.min() - 3.0 * h_max),
+                     float(pooled.max() + 3.0 * h_max), 2048)
+    return js_divergence([kde_pdf(vals, h, xs)
+                          for vals, h in zip(samples, bandwidths)], xs)

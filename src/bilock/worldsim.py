@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import bimanual as bm
 from . import kinematics as kin
 from .episodes import (BOX_DROP, GRASP_ATTACH, GRASP_DETACH, PLACED, Episode,
-                       Event, Step)
+                       Event, Step, is_int, is_real)
 from .errors import BilockError, PathInfeasible, UnreachableGrasp
 from .geometry import Pose, Rotation, geodesic_distance, so3_exp, so3_log
 from .seeding import rng_from
@@ -102,24 +102,33 @@ class WorldConfig:
     timing_jitter: float = 0.10
 
     def __post_init__(self):
-        self.box_dims = np.asarray(self.box_dims, dtype=float)
-        self.shelf_center = np.asarray(self.shelf_center, dtype=float)
-        self.shelf_region_half = np.asarray(self.shelf_region_half, dtype=float)
+        for name in ("box_dims", "shelf_center", "shelf_region_half"):
+            v = getattr(self, name)
+            if not (isinstance(v, (list, tuple, np.ndarray)) and len(v) == 3
+                    and all(is_real(x) for x in v)):
+                raise ValueError(f"{name} must be 3 finite numbers, got {v!r}")
+            setattr(self, name, np.asarray(v, dtype=float))
+        for f in fields(self):  # annotations are strings here
+            if f.type == "float" and not is_real(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a finite number, "
+                                 f"got {getattr(self, f.name)!r}")
         for v in (self.grasp_eps_pos, self.grasp_eps_rot, self.retain_pos,
-                  self.retain_rot):
+                  self.retain_rot, self.lock_pos_tol, self.lock_rot_tol):
             if v <= 0.0:
                 raise ValueError("world thresholds must be positive")
         if self.control_arm not in ("left", "right"):
             raise ValueError("control_arm must be 'left' or 'right'")
-        if not (isinstance(self.substeps, int) and self.substeps >= 1):
+        if not (is_int(self.substeps) and self.substeps >= 1):
             raise ValueError("substeps must be an integer >= 1")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if not all(-math.pi <= v <= math.pi for v in (self.psi_left, self.psi_right)):
             raise ValueError("psi_left and psi_right must lie in [-pi, pi]")
         if not (isinstance(self.segment_knots, dict)
-                and set(self.segment_knots) == set(SEGMENTS)):
-            raise ValueError(f"segment_knots must give exactly {SEGMENTS}")
+                and set(self.segment_knots) == set(SEGMENTS)
+                and all(map(is_real, self.segment_knots.values()))):
+            raise ValueError(f"segment_knots must give a finite number for "
+                             f"exactly {SEGMENTS}")
 
     def psi(self, side):
         return self.psi_left if side == "left" else self.psi_right
@@ -142,7 +151,7 @@ def world_config_from_dict(cfg):
             if f"{name}_deg" in values:
                 values[name] = math.radians(values.pop(f"{name}_deg"))
         return WorldConfig(**values)
-    except TypeError as exc:  # a missing or unknown key, or a wrong type
+    except (TypeError, OverflowError) as exc:  # a missing, unknown or bad key
         raise ValueError(f"world config: {exc}") from exc
 
 

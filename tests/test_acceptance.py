@@ -43,7 +43,8 @@ def clean200(model, world_cfg):
 
 @pytest.fixture(scope="module")
 def perturbed_levels(model, clean200):
-    return {lvl: pb.perturb_dataset(model, clean200, lvl, master_seed=909)
+    return {lvl: pb.perturb_dataset(model, clean200, lvl, pb.LEVEL_ETAS[lvl],
+                                   master_seed=909)
             for lvl in (1, 2, 3)}
 
 
@@ -59,7 +60,7 @@ def test_criterion_1_transform_lock_adherence(model, clean200):
             worst_rot = max(worst_rot, geodesic_distance(x.rotation,
                                                          ref.rotation))
     full_success = sum(1 for ep in clean200
-                       if mx.classify_outcome(ep).category == "I")
+                       if mx.classify_outcome(ep) == "I")
     ok = (worst_pos <= 1e-10 and worst_rot <= 1e-6
           and full_success == len(clean200))
     report(1, "transform-lock adherence", ok,
@@ -241,13 +242,14 @@ def test_criterion_7_statistics():
     wilson_ok = abs(lo - 0.4038) <= 1e-3 and abs(hi - 0.5962) <= 1e-3
 
     h = 1e4
-    kdes = [st.Kde1d(np.array([c]), h) for c in (0.0, 1e6, 2e6)]
-    grid = st.Grid(-5 * h, 2e6 + 5 * h, 4096)
-    js_disjoint = st.js_divergence(kdes, grid)
+    xs = np.linspace(-5 * h, 2e6 + 5 * h, 4096)
+    kdes = [st.kde_pdf([c], h, xs) for c in (0.0, 1e6, 2e6)]
+    js_disjoint = st.js_divergence(kdes, xs)
     disjoint_ok = abs(js_disjoint - math.log(3.0)) <= 1e-3
 
-    kde = st.Kde1d(np.array([0.0, 0.5, 2.0]), 0.8)
-    js_same = st.js_divergence([kde, kde, kde], st.Grid(-5.0, 7.0, 2048))
+    xs = np.linspace(-5.0, 7.0, 2048)
+    kde = st.kde_pdf([0.0, 0.5, 2.0], 0.8, xs)
+    js_same = st.js_divergence([kde, kde, kde], xs)
     same_ok = abs(js_same) <= 1e-6
     ok = wilson_ok and disjoint_ok and same_ok
     report(7, "statistics", ok,
@@ -257,17 +259,17 @@ def test_criterion_7_statistics():
 
 
 def test_criterion_8_ou_process():
-    params = pb.OuParams(eta=0.002)
+    eta = 0.002
     k = 20
     n_paths = 100000
     finals = np.empty(n_paths)
     for i in range(n_paths):
-        finals[i] = pb.ou_path(params, k + 1, seed=i)[k, 2]
-    var_ratio = finals.var() / pb.ou_variance(params, k)
+        finals[i] = pb.ou_path(eta, k + 1, seed=i)[k, 2]
+    var_ratio = finals.var() / pb.ou_variance(eta, k)
     var_ok = abs(var_ratio - 1.0) <= 0.02
 
-    p1 = pb.ou_path(pb.OuParams(eta=0.001), 80, seed=88)
-    p2 = pb.ou_path(pb.OuParams(eta=0.002), 80, seed=88)
+    p1 = pb.ou_path(0.001, 80, seed=88)
+    p2 = pb.ou_path(0.002, 80, seed=88)
     linear_ok = np.array_equal(2.0 * p1, p2)
     ok = var_ok and linear_ok
     report(8, "OU process", ok,
@@ -281,7 +283,7 @@ def test_criterion_9_outcome_gradient(model, world_cfg, perturbed_levels):
         cats = {c: 0 for c in mx.CATEGORIES}
         for ep in perturbed_levels[lvl]:
             rolled = ws.replay_episode(model, world_cfg, ep)
-            cats[mx.classify_outcome(rolled).category] += 1
+            cats[mx.classify_outcome(rolled)] += 1
         successes = cats["I"] + cats["II"]
         stats[lvl] = (successes / 200.0, cats)
     ok = (stats[3][0] < stats[1][0]

@@ -79,10 +79,27 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
                     dict(n, rpy_deg=[0, 0, 30]) if i == 3 else n
                     for i, n in enumerate(arm["joint_offsets"])]),
                 "x_axis_joint_7": dict(arm, joint_axes=[
-                    *arm["joint_axes"][:6], [1, 0, 0]])}
+                    *arm["joint_axes"][:6], [1, 0, 0]]),
+                "text_knots": dict(world, segment_knots=dict(
+                    world["segment_knots"], approach="x")),
+                "text_drop_factor": dict(world, drop_factor="x"),
+                "text_jitter": dict(world, timing_jitter="x"),
+                "short_box_dims": dict(world, box_dims=[0.1]),
+                "short_shelf_center": dict(world, shelf_center=[0.0, 0.62]),
+                "zero_lock_tol": dict(world, lock_pos_tol=0)}
     for name, doc in bad_docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(
             {k: v for k, v in doc.items() if v is not None}))
+    bad_configs = [({"level": 1.0}, "perturb"), ({"level": 0.0}, "perturb"),
+                   ({"level": True}, "perturb"), ({"level": 4}, "perturb"),
+                   ({"master_seed": 1.5}, "perturb"),
+                   ({"window": 2.5}, "perturb"), ({"stride": 2.5}, "eval"),
+                   ({"eta": 10 ** 400}, "perturb"), ({"eta": True}, "perturb"),
+                   ({"knot_stride": 2.0}, "curvature"),
+                   ({"max_episodes": 1.5}, "curvature"),
+                   ({"rank_tol": "x"}, "curvature"),
+                   ({"fd_step": None}, "curvature"),
+                   ({"workers": 1.5}, "gen"), ({"world": 5}, "gen")]
     magic = tmp_path / "magic.json"
     magic.write_text(json.dumps({"diff_mode": "magic"}))
     array = tmp_path / "array.json"
@@ -114,6 +131,13 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
              ["--config", str(array), "gen"],
              ["gen", "--world", str(array)],
              ["gen", "--arm-model-left", str(array)]]
+    cases += [["gen", "--world", str(tmp_path / f"{name}.json")] for name in
+              ("text_knots", "text_drop_factor", "text_jitter",
+               "short_box_dims", "short_shelf_center", "zero_lock_tol")]
+    for i, (doc, stage) in enumerate(bad_configs):
+        (tmp_path / f"config{i}.json").write_text(json.dumps(doc))
+        cases.append(["--config", str(tmp_path / f"config{i}.json"), stage]
+                     + ([] if stage == "gen" else ["--in", data]))
     for args in cases:
         code = run(args + ["--out-dir", str(tmp_path / "x")])
         err = capsys.readouterr().err

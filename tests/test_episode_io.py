@@ -1,10 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilock import cli
-from bilock.episodes import (episode_from_record, episode_to_record,
+from bilock.episodes import (EVENT_KINDS, PHASES, Episode, Event, Step,
+                             episode_from_record, episode_to_record,
                              read_episodes, write_episodes, write_records)
 from bilock.errors import MalformedRecord, SchemaMismatch
 
@@ -86,8 +90,8 @@ def test_missing_field_is_malformed(tmp_path, clean_set):
 def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
     """Gripper channels outside [0, 1], non-finite joint channels, fields
     of the wrong type or range (dt, step t and lock, model_ref, branch, SEW
-    angles, event times) and metadata the stages read but the record lacks
-    are data errors at the record's line; so are a file that is not UTF-8
+    angles, event times, kinds and arms) and metadata the stages read but the
+    record lacks are data errors at the record's line; so are a file that is not UTF-8
     and a header that is not an object, at line 1."""
     path = tmp_path / "eps.jsonl"
     write_episodes(path, clean_set[:1])
@@ -128,6 +132,38 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
     assert cli.main(["perturb", "--in", str(path), "--level", "1",
                      "--out-dir", str(tmp_path / "out")]) == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith("data error: line 2: step 3:")
+    # records that passed every stage, or ended in a traceback: step times
+    # that are not their indices, an unknown event kind or arm, integers
+    # too large for a float, and one beyond the JSON reader's digit limit
+    def steps_t(times):
+        return lambda rec: [s.update(t=times(i))
+                            for i, s in enumerate(rec["steps"])]
+
+    def edited(edit):
+        rec = json.loads(lines[1])
+        edit(rec)
+        return json.dumps(rec)
+
+    huge = 10 ** 400
+    texts = [edited(edit) for edit in [
+        steps_t(lambda i: 0), steps_t(lambda i: -i),
+        lambda rec: rec["events"].append({"t": 0, "kind": "bogus", "arm": None}),
+        lambda rec: rec["events"][0].update(arm="middle"),
+        lambda rec: rec.update(dt=huge),
+        lambda rec: rec["steps"][3]["obs"].__setitem__(2, huge),
+        lambda rec: rec["steps"][3]["act"].__setitem__(2, huge),
+        meta("box_init", [huge, 0.6, 0.0]), meta("psi_left", huge)]]
+    texts.append(edited(lambda rec: rec.update(dt="DIGITS")).replace(
+        '"DIGITS"', "1" + "0" * 5000))
+    for text in texts:
+        path.write_text("\n".join([lines[0], text]) + "\n")
+        with pytest.raises(MalformedRecord) as exc:
+            read_episodes(path)
+        assert exc.value.line == 2
+        assert cli.main(["eval", "--in", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 2: ") and err.count("\n") == 1
     # a file that is not UTF-8, and a header that is not an object
     for contents in (b"\xff\xfe\x00garbage\n" + lines[1].encode(),
                      ("[1]\n" + lines[1]).encode()):
@@ -157,3 +193,89 @@ def test_record_round_trip_structure(clean_episode):
     rec = episode_to_record(clean_episode)
     back = episode_from_record(json.loads(json.dumps(rec)))
     assert np.array_equal(back.actions(), clean_episode.actions())
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def episodes(draw):
+    n = draw(st.integers(1, 6))
+    steps = [Step(t, draw(st.lists(finite, min_size=14, max_size=14))
+                  + draw(st.lists(unit, min_size=2, max_size=2)),
+                  draw(st.lists(finite, min_size=14, max_size=14))
+                  + draw(st.lists(unit, min_size=2, max_size=2)),
+                  draw(st.sampled_from(PHASES)), draw(st.booleans()))
+             for t in range(n)]
+    events = draw(st.lists(st.builds(
+        Event, st.integers(0, n - 1), st.sampled_from(EVENT_KINDS),
+        st.sampled_from(["left", "right", None])), max_size=4))
+    psi = st.floats(-math.pi, math.pi)
+    metadata = {"box_init": draw(st.lists(finite, min_size=3, max_size=3)),
+                "control_arm": draw(st.sampled_from(["left", "right"])),
+                "psi_left": draw(psi), "psi_right": draw(psi),
+                "branch": draw(st.lists(st.booleans(), min_size=3,
+                                        max_size=3))}
+    return Episode(draw(st.text(max_size=8)),
+                   draw(st.floats(1e-300, 1e300)), steps, events, metadata)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(eps=st.lists(episodes(), min_size=1, max_size=3))
+def test_dataset_round_trip_is_byte_identical(tmp_path_factory, eps):
+    d = tmp_path_factory.mktemp("round_trip")
+    write_episodes(d / "a.jsonl", eps)
+    write_episodes(d / "b.jsonl", read_episodes(d / "a.jsonl"))
+    assert (d / "a.jsonl").read_bytes() == (d / "b.jsonl").read_bytes()
+
+
+def _field_paths(node, path=()):
+    """Every key and list entry of a record, descending into the first and
+    last step only (the others have the same shape)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+        if path == ("steps",):
+            items = [(0, node[0]), (len(node) - 1, node[-1])]
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths.append(path + (key,))
+        paths += _field_paths(child, path + (key,))
+    return paths
+
+
+JSON_VALUES = [None, True, False, 0, 1, -1, 2.5, 1e308, -1e308, 10 ** 400,
+               -10 ** 400, "", "x", "transport", [], [1.0], {}, {"a": 1}]
+
+
+@pytest.fixture(scope="module")
+def record_paths(clean_episode):
+    rec = episode_to_record(clean_episode)
+    return rec, _field_paths(rec)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(pick=st.integers(0, 10 ** 6), value=st.sampled_from(JSON_VALUES))
+def test_single_field_replacement_reads_or_is_malformed(
+        tmp_path_factory, record_paths, pick, value):
+    """Replacing any one field of a valid record with any JSON value either
+    reads back or is a MalformedRecord/SchemaMismatch; nothing else
+    escapes the reader."""
+    rec, paths = record_paths
+    rec = json.loads(json.dumps(rec))
+    *parents, key = paths[pick % len(paths)]
+    node = rec
+    for p in parents:
+        node = node[p]
+    node[key] = value
+    path = tmp_path_factory.mktemp("fuzz") / "eps.jsonl"
+    header = {"schema_version": "episode_dataset_v1", "n_episodes": 1}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(rec) + "\n")
+    try:
+        read_episodes(path)
+    except (MalformedRecord, SchemaMismatch):
+        pass

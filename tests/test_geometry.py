@@ -102,6 +102,44 @@ def test_log_raises_within_margin_of_pi_for_both_scalar_kinds(eps, b, s):
             geo.so3_log(_zyz(q))
 
 
+unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) >= 0.1).map(lambda v: v / np.linalg.norm(v))
+near_zero = st.floats(1e-12, 1e-3)
+near_cutoff = st.builds(lambda side, rel: geo._SMALL_ANGLE * (1.0 + side * rel),
+                        st.sampled_from([-1.0, 1.0]), st.floats(1e-6, 1e-2))
+
+
+def _exp_from_coefficients(w, a, b):
+    k = geo.hat(w)
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(axis=unit_axes, angle=st.one_of(near_zero, near_cutoff))
+def test_exp_near_zero_and_series_cutoff(axis, angle):
+    """exp is orthonormal with det 1 and inverted by log to machine
+    precision for tiny angles and on both sides of the series cutoff."""
+    w = angle * axis
+    r = geo.so3_exp(w)
+    assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-15
+    assert abs(np.linalg.det(r) - 1.0) <= 1e-15
+    assert np.linalg.norm(geo.so3_log(r) - w) <= 1e-14 * np.linalg.norm(w)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(axis=unit_axes, angle=near_cutoff)
+def test_exp_series_matches_closed_form_at_cutoff(axis, angle):
+    w = angle * axis
+    th2 = float(w @ w)
+    th = math.sqrt(th2)
+    series = _exp_from_coefficients(w, 1.0 - th2 / 6.0 * (1.0 - th2 / 20.0),
+                                    0.5 * (1.0 - th2 / 12.0 * (1.0 - th2 / 30.0)))
+    closed = _exp_from_coefficients(w, math.sin(th) / th,
+                                    (1.0 - math.cos(th)) / th2)
+    assert np.abs(series - closed).max() <= 1e-15
+    assert np.abs(geo.so3_exp(w) - closed).max() <= 1e-15
+
+
 def test_exp_rejects_non_finite_rotation_vectors():
     """A rotation vector whose squared norm is not a finite float is an
     error, not a math domain error or a NaN rotation."""

@@ -13,21 +13,22 @@ from bilock.geometry import Pose, Rotation
 
 
 def test_clean_profile_is_flat(model, clean_episode):
-    prof = mx.violation_profile(model, clean_episode)
-    assert prof.pos_max <= 1e-10
-    assert prof.rot_max <= 1e-6
-    assert prof.pos_mean >= 0.0
+    pos, rot = mx.violation_profile(model, clean_episode)
+    assert pos.max() <= 1e-10
+    assert rot.max() <= 1e-6
+    assert pos.mean() >= 0.0
 
 
 def test_window_one_is_all_zero(model, clean_episode):
-    prof = mx.violation_profile(model, clean_episode, window=1, stride=1)
-    assert prof.pos_max == 0.0 and prof.rot_max == 0.0
+    pos, rot = mx.violation_profile(model, clean_episode, window=1, stride=1)
+    assert pos.max() == 0.0 and rot.max() == 0.0
 
 
 def test_window_one_zero_even_for_perturbed(model, clean_episode):
-    noisy = pb.perturb_episode(model, clean_episode, 3, seed=3)
-    prof = mx.violation_profile(model, noisy, window=1, stride=1)
-    assert prof.pos_max == 0.0 and prof.rot_max == 0.0
+    noisy = pb.perturb_episode(model, clean_episode, 3, pb.LEVEL_ETAS[3],
+                               seed=3)
+    pos, rot = mx.violation_profile(model, noisy, window=1, stride=1)
+    assert pos.max() == 0.0 and rot.max() == 0.0
 
 
 def test_constant_offset_mid_window(model, world_cfg, clean_episode):
@@ -44,10 +45,13 @@ def test_constant_offset_mid_window(model, world_cfg, clean_episode):
         moved = Pose(pose.rotation, pose.translation + [0.003, 0.0, 0.0])
         ep.steps[idx].act[:7] = kin.inverse_kinematics(
             model.left, moved, psi, enforce_limits=False)
-    prof = mx.violation_profile(model, ep, window=16, stride=8)
-    for w, rec in enumerate(prof.windows):
-        knot0 = w * 8
-        for j, (p, r) in enumerate(zip(rec.pos_err, rec.rot_err)):
+    pos, rot = mx.violation_profile(model, ep, window=16, stride=8)
+    # the profile concatenates windows of min(16, n - knot0) knots
+    knots0 = range(0, len(tr), 8)
+    cuts = np.cumsum([min(16, len(tr) - k) for k in knots0])[:-1]
+    for knot0, pos_err, rot_err in zip(knots0, np.split(pos, cuts),
+                                       np.split(rot, cuts)):
+        for j, (p, r) in enumerate(zip(pos_err, rot_err)):
             before_ref = knot0 < start
             affected = knot0 + j >= start
             if before_ref and affected:
@@ -78,10 +82,10 @@ def test_profile_invariant_to_rigid_world_motion(model, clean_episode):
                      joint_offsets=model.right.joint_offsets,
                      joint_axes=model.right.joint_axes,
                      joint_limits=model.right.joint_limits))
-    a = mx.violation_profile(model, clean_episode)
-    b = mx.violation_profile(moved, clean_episode)
-    assert np.abs(a.all_pos_errors() - b.all_pos_errors()).max() <= 1e-12
-    assert np.abs(a.all_rot_errors() - b.all_rot_errors()).max() <= 1e-12
+    a_pos, a_rot = mx.violation_profile(model, clean_episode)
+    b_pos, b_rot = mx.violation_profile(moved, clean_episode)
+    assert np.abs(a_pos - b_pos).max() <= 1e-12
+    assert np.abs(a_rot - b_rot).max() <= 1e-12
 
 
 def _episode_with_events(kinds):
@@ -94,21 +98,22 @@ def _episode_with_events(kinds):
 def test_classify_outcomes():
     I = _episode_with_events([("grasp_attach", "left"),
                               ("grasp_attach", "right"), ("placed", None)])
-    assert mx.classify_outcome(I).category == "I"
+    assert mx.classify_outcome(I) == "I"
     II = _episode_with_events([("grasp_attach", "left"),
                                ("grasp_attach", "right"),
                                ("grasp_detach", "left"), ("placed", None)])
-    assert mx.classify_outcome(II).category == "II"
+    assert mx.classify_outcome(II) == "II"
     III = _episode_with_events([("grasp_attach", "left"),
                                 ("grasp_attach", "right"),
                                 ("grasp_detach", "left"),
                                 ("grasp_detach", "right"),
                                 ("box_drop", None)])
-    assert mx.classify_outcome(III).category == "III"
+    assert mx.classify_outcome(III) == "III"
     IV = _episode_with_events([])
-    assert mx.classify_outcome(IV).category == "IV"
-    assert mx.classify_outcome(I).success and mx.classify_outcome(II).success
-    assert not mx.classify_outcome(III).success
+    assert mx.classify_outcome(IV) == "IV"
+    assert mx.classify_outcome(I) in ("I", "II")
+    assert mx.classify_outcome(II) in ("I", "II")
+    assert mx.classify_outcome(III) not in ("I", "II")
 
 
 def test_classify_is_pure_function_of_events():

@@ -11,73 +11,63 @@ from bilock.errors import EmptyDataset
 
 
 def test_level_table_fixed():
-    for lvl, eta in enumerate(pb.LEVEL_ETAS):
-        assert pb.PerturbationLevel(lvl).eta == eta
-    with pytest.raises(ValueError):
-        pb.PerturbationLevel(4)
-    with pytest.raises(ValueError):
-        pb.PerturbationLevel(2, eta=0.5)
+    assert pb.LEVEL_ETAS == (0.0, 0.001, 0.0025, 0.005)
 
 
 def test_ou_params_validation():
-    with pytest.raises(ValueError):
-        pb.OuParams(eta=-1.0)
-    with pytest.raises(ValueError):
-        pb.OuParams(eta=0.1, alpha=2.0, dt=1.0)  # alpha*dt >= 1
+    for eta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            pb.ou_path(eta, 10, seed=0)
 
 
 def test_ou_path_zero_eta_is_zero():
-    path = pb.ou_path(pb.OuParams(eta=0.0), 40, seed=1)
+    path = pb.ou_path(0.0, 40, seed=1)
     assert np.array_equal(path, np.zeros((40, 6)))
 
 
 def test_ou_path_doubling_exact():
-    p1 = pb.ou_path(pb.OuParams(eta=0.001), 60, seed=5)
-    p2 = pb.ou_path(pb.OuParams(eta=0.002), 60, seed=5)
+    p1 = pb.ou_path(0.001, 60, seed=5)
+    p2 = pb.ou_path(0.002, 60, seed=5)
     assert np.array_equal(2.0 * p1, p2)
-    p4 = pb.ou_path(pb.OuParams(eta=0.004), 60, seed=5)
+    p4 = pb.ou_path(0.004, 60, seed=5)
     assert np.array_equal(4.0 * p1, p4)
 
 
 def test_ou_path_linearity_in_level_etas():
-    p1 = pb.ou_path(pb.OuParams(eta=pb.LEVEL_ETAS[1]), 60, seed=6)
-    p3 = pb.ou_path(pb.OuParams(eta=pb.LEVEL_ETAS[3]), 60, seed=6)
+    p1 = pb.ou_path(pb.LEVEL_ETAS[1], 60, seed=6)
+    p3 = pb.ou_path(pb.LEVEL_ETAS[3], 60, seed=6)
     np.testing.assert_allclose(p3, 5.0 * p1, rtol=1e-12, atol=0.0)
 
 
-def test_ou_path_starts_at_z0():
-    z0 = np.array([0.1, 0.0, 0.0, 0.0, 0.2, 0.0])
-    path = pb.ou_path(pb.OuParams(eta=0.001, z0=z0), 10, seed=2)
-    assert np.array_equal(path[0], z0)
-
-
 def test_ou_zero_mean_bound():
-    params = pb.OuParams(eta=0.01)
+    eta = 0.01
     k = 25
     n = 4000
-    finals = np.array([pb.ou_path(params, k + 1, seed=i)[k] for i in range(n)])
-    bound = 3.0 * math.sqrt(pb.ou_variance(params, k)) / math.sqrt(n)
+    finals = np.array([pb.ou_path(eta, k + 1, seed=i)[k] for i in range(n)])
+    bound = 3.0 * math.sqrt(pb.ou_variance(eta, k)) / math.sqrt(n)
     assert np.abs(finals[:, :3].mean(axis=0)).max() <= bound * 1.5
 
 
 def test_ou_variance_recursion_small_mc():
-    params = pb.OuParams(eta=0.003)
+    eta = 0.003
     k = 40
     n = 20000
-    vals = np.array([pb.ou_path(params, k + 1, seed=i)[k, 1] for i in range(n)])
-    ratio = vals.var() / pb.ou_variance(params, k)
+    vals = np.array([pb.ou_path(eta, k + 1, seed=i)[k, 1] for i in range(n)])
+    ratio = vals.var() / pb.ou_variance(eta, k)
     assert abs(ratio - 1.0) <= 0.05
 
 
 def test_perturb_level0_bitwise(model, clean_episode):
-    out = pb.perturb_episode(model, clean_episode, 0, seed=9)
+    out = pb.perturb_episode(model, clean_episode, 0, pb.LEVEL_ETAS[0],
+                             seed=9)
     assert np.array_equal(out.actions(), clean_episode.actions())
     assert np.array_equal(out.observations(), clean_episode.observations())
     assert out.metadata["perturbation_level"] == 0
 
 
 def test_perturb_locality(model, clean_episode):
-    out = pb.perturb_episode(model, clean_episode, 3, seed=11)
+    out = pb.perturb_episode(model, clean_episode, 3, pb.LEVEL_ETAS[3],
+                             seed=11)
     transport = set(clean_episode.transport_indices())
     for i, (a, b) in enumerate(zip(clean_episode.steps, out.steps)):
         assert np.array_equal(a.obs, b.obs)
@@ -95,8 +85,10 @@ def test_perturb_locality(model, clean_episode):
 
 
 def test_perturb_deterministic(model, clean_episode):
-    a = pb.perturb_episode(model, clean_episode, 2, seed=13)
-    b = pb.perturb_episode(model, clean_episode, 2, seed=13)
+    a = pb.perturb_episode(model, clean_episode, 2, pb.LEVEL_ETAS[2],
+                           seed=13)
+    b = pb.perturb_episode(model, clean_episode, 2, pb.LEVEL_ETAS[2],
+                           seed=13)
     assert json.dumps(episode_to_record(a), sort_keys=True) \
         == json.dumps(episode_to_record(b), sort_keys=True)
 
@@ -104,8 +96,10 @@ def test_perturb_deterministic(model, clean_episode):
 def test_perturb_displacement_scales_with_eta(model, clean_episode):
     """Pre-IK pose displacement at every knot scales exactly with eta."""
     sub = slice(0, 7)  # control arm is right: subordinate is left
-    out1 = pb.perturb_episode(model, clean_episode, 1, seed=21)
-    out3 = pb.perturb_episode(model, clean_episode, 3, seed=21)
+    out1 = pb.perturb_episode(model, clean_episode, 1, pb.LEVEL_ETAS[1],
+                              seed=21)
+    out3 = pb.perturb_episode(model, clean_episode, 3, pb.LEVEL_ETAS[3],
+                              seed=21)
     assert out1.metadata["ik_failures"] == 0
     assert out3.metadata["ik_failures"] == 0
     for i in clean_episode.transport_indices():
@@ -133,7 +127,8 @@ def test_violation_summary_single_episode(model, clean_set):
 def test_violation_summary_level_ratios(model, clean_set):
     means = {}
     for lvl in (1, 2, 3):
-        pset = pb.perturb_dataset(model, clean_set, lvl, master_seed=31)
+        pset = pb.perturb_dataset(model, clean_set, lvl, pb.LEVEL_ETAS[lvl],
+                                   master_seed=31)
         s = pb.dataset_violation_summary(model, pset)
         means[lvl] = (s["pos_mean_cm"], s["rot_mean_deg"])
     # shared noise realizations make the level ratios essentially exact
@@ -151,7 +146,8 @@ def test_empty_dataset_rejected(model):
 
 
 def test_raw_eta_override(model, clean_episode):
-    out = pb.perturb_episode(model, clean_episode, 0.0025, seed=17)
-    via_level = pb.perturb_episode(model, clean_episode, 2, seed=17)
+    out = pb.perturb_episode(model, clean_episode, "raw", 0.0025, seed=17)
+    via_level = pb.perturb_episode(model, clean_episode, 2, pb.LEVEL_ETAS[2],
+                                   seed=17)
     assert np.array_equal(out.actions(), via_level.actions())
     assert out.metadata["perturbation_level"] == "raw"

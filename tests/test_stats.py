@@ -6,7 +6,6 @@ import pytest
 from bilock import stats as st
 from bilock.errors import (DegenerateSample, GridTooCoarse,
                            InsufficientCategory)
-from bilock.metrics import Outcome
 
 
 def test_scott_bandwidth_formula():
@@ -34,24 +33,26 @@ def test_scott_degenerate():
 
 def test_kde_density_properties():
     rng = np.random.default_rng(61)
-    kde = st.Kde1d.from_samples(rng.normal(size=200))
-    grid = st.Grid(-8.0, 8.0, 2048)
-    vals = kde.pdf(grid.xs())
+    samples = rng.normal(size=200)
+    xs = np.linspace(-8.0, 8.0, 2048)
+    vals = st.kde_pdf(samples, st.scott_bandwidth(samples), xs)
     assert np.all(vals >= 0.0)
-    assert abs(np.trapezoid(vals, grid.xs()) - 1.0) <= 1e-3
+    assert abs(np.trapezoid(vals, xs) - 1.0) <= 1e-3
 
 
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        st.Grid(1.0, 1.0)
-    with pytest.raises(ValueError):
-        st.Grid(0.0, 1.0, n_points=4)
+def test_kde_validation():
+    xs = np.linspace(-1.0, 1.0, 16)
+    with pytest.raises(DegenerateSample):
+        st.kde_pdf([], 1.0, xs)
+    for h in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            st.kde_pdf([0.0], h, xs)
 
 
 def test_js_identical_densities_zero():
-    kde = st.Kde1d(np.array([0.0, 1.0, 2.0]), 0.7)
-    grid = st.Grid(-5.0, 7.0, 2048)
-    js = st.js_divergence([kde, kde, kde], grid)
+    xs = np.linspace(-5.0, 7.0, 2048)
+    kde = st.kde_pdf([0.0, 1.0, 2.0], 0.7, xs)
+    js = st.js_divergence([kde, kde, kde], xs)
     assert abs(js) <= 1e-6
 
 
@@ -59,33 +60,34 @@ def test_js_three_disjoint_is_ln3():
     """Gaussians a million apart (relative to bandwidth, effectively
     disjoint) on a grid fine enough to resolve them."""
     h = 1e4
-    kdes = [st.Kde1d(np.array([c]), h) for c in (0.0, 1e6, 2e6)]
-    grid = st.Grid(-5 * h, 2e6 + 5 * h, 4096)
-    js = st.js_divergence(kdes, grid)
+    xs = np.linspace(-5 * h, 2e6 + 5 * h, 4096)
+    kdes = [st.kde_pdf([c], h, xs) for c in (0.0, 1e6, 2e6)]
+    js = st.js_divergence(kdes, xs)
     assert abs(js - math.log(3.0)) <= 1e-3
 
 
 def test_js_two_disjoint_is_ln2():
-    kdes = [st.Kde1d(np.array([0.0]), 1.0), st.Kde1d(np.array([100.0]), 1.0)]
-    grid = st.Grid(-6.0, 106.0, 4096)
-    assert abs(st.js_divergence(kdes, grid) - math.log(2.0)) <= 1e-3
+    xs = np.linspace(-6.0, 106.0, 4096)
+    kdes = [st.kde_pdf([0.0], 1.0, xs), st.kde_pdf([100.0], 1.0, xs)]
+    assert abs(st.js_divergence(kdes, xs) - math.log(2.0)) <= 1e-3
 
 
 def test_js_permutation_symmetric():
     rng = np.random.default_rng(62)
-    kdes = [st.Kde1d(rng.normal(loc=m, size=50), 0.5) for m in (0.0, 1.0, 3.0)]
-    grid = st.Grid(-4.0, 7.0, 2048)
-    a = st.js_divergence(kdes, grid)
-    b = st.js_divergence(kdes[::-1], grid)
+    xs = np.linspace(-4.0, 7.0, 2048)
+    kdes = [st.kde_pdf(rng.normal(loc=m, size=50), 0.5, xs)
+            for m in (0.0, 1.0, 3.0)]
+    a = st.js_divergence(kdes, xs)
+    b = st.js_divergence(kdes[::-1], xs)
     assert a == b
     assert 0.0 <= a <= math.log(3.0) + 1e-3
 
 
 def test_js_grid_too_coarse():
-    kde = st.Kde1d(np.array([0.0]), 1.0)
-    grid = st.Grid(-1e6, 1e6, 64)  # spacing far wider than the bandwidth
+    xs = np.linspace(-1e6, 1e6, 64)  # spacing far wider than the bandwidth
+    kde = st.kde_pdf([0.0], 1.0, xs)
     with pytest.raises(GridTooCoarse):
-        st.js_divergence([kde, kde], grid)
+        st.js_divergence([kde, kde], xs)
 
 
 def test_pearson_exact_lines():
@@ -136,8 +138,7 @@ def test_spearman_ties_match_rank_oracle():
 
 def test_outcome_js_identical_series_zero():
     series = [[1.0, 2.0, 3.0]] * 6
-    outcomes = [Outcome("I"), Outcome("I"), Outcome("II"), Outcome("II"),
-                Outcome("III"), Outcome("III")]
+    outcomes = ["I", "I", "II", "II", "III", "III"]
     js = st.outcome_conditioned_js(series, outcomes, "mean")
     assert abs(js) <= 1e-6
     js = st.outcome_conditioned_js(series, outcomes, "max")
@@ -149,21 +150,21 @@ def test_outcome_js_disjoint_is_ln3():
     # the default grid to resolve, yet mutually disjoint
     series = ([[0.0], [1e4]] + [[1e6], [1e6 + 1e4]]
               + [[2e6], [2e6 + 1e4]])
-    outcomes = [Outcome(c) for c in ("I", "I", "II", "II", "III", "III")]
+    outcomes = ["I", "I", "II", "II", "III", "III"]
     js = st.outcome_conditioned_js(series, outcomes, "mean")
     assert abs(js - math.log(3.0)) <= 1e-3
 
 
 def test_outcome_js_insufficient_category():
     series = [[1.0]] * 5
-    outcomes = [Outcome(c) for c in ("I", "I", "II", "II", "III")]
+    outcomes = ["I", "I", "II", "II", "III"]
     with pytest.raises(InsufficientCategory):
         st.outcome_conditioned_js(series, outcomes, "mean")
 
 
 def test_outcome_js_excludes_full_failures():
     series = [[1.0, 2.0]] * 6 + [[999.0]]
-    outcomes = [Outcome(c) for c in ("I", "I", "II", "II", "III", "III", "IV")]
+    outcomes = ["I", "I", "II", "II", "III", "III", "IV"]
     js = st.outcome_conditioned_js(series, outcomes, "mean")
     assert abs(js) <= 1e-6  # the IV rollout is ignored
 
@@ -179,14 +180,14 @@ def test_outcome_js_end_to_end_surrogate(model, world_cfg, clean_set):
     series = []
     outcomes = []
     for lvl in (1, 2, 3):
-        for ep in pb.perturb_dataset(model, clean_set, lvl, master_seed=64):
+        for ep in pb.perturb_dataset(model, clean_set, lvl, pb.LEVEL_ETAS[lvl],
+                                     master_seed=64):
             rolled = ws.replay_episode(model, world_cfg, ep)
             outcomes.append(mx.classify_outcome(rolled))
             f = mf.constraint_for_episode(model, ep)
             records, _ = mf.rollout_curvature_series(f, ep, knot_stride=8)
             series.append([r["kretschmann"] for r in records])
-    cats = {c: sum(1 for o in outcomes if o.category == c)
-            for c in ("I", "II", "III")}
+    cats = {c: outcomes.count(c) for c in ("I", "II", "III")}
     assert min(cats.values()) >= 2, cats  # pooled levels populate I, II, III
     for stat in ("mean", "max"):
         js = st.outcome_conditioned_js(series, outcomes, stat)

@@ -52,7 +52,7 @@ def test_clean_episode_structure(model, world_cfg, clean_episode):
     kinds = [(e.kind, e.arm) for e in ep.events]
     assert kinds == [(GRASP_ATTACH, "left"), (GRASP_ATTACH, "right"),
                      (PLACED, None)]
-    assert mx.classify_outcome(ep).category == "I"
+    assert mx.classify_outcome(ep) == "I"
     ts = [e.t for e in ep.events]
     assert ts == sorted(ts)
     for s in ep.steps:
@@ -190,7 +190,7 @@ def test_single_gripper_displacement_detaches_without_drop(model, world_cfg,
     assert (GRASP_DETACH, "left") in kinds
     assert BOX_DROP not in [k for k, _ in kinds]
     assert (PLACED, None) in kinds
-    assert mx.classify_outcome(rolled).category == "II"
+    assert mx.classify_outcome(rolled) == "II"
 
 
 def test_large_displacement_drops_box(model, world_cfg, clean_episode):
@@ -203,7 +203,7 @@ def test_large_displacement_drops_box(model, world_cfg, clean_episode):
     kinds = [e.kind for e in rolled.events]
     assert BOX_DROP in kinds
     assert PLACED not in kinds
-    assert mx.classify_outcome(rolled).category == "III"
+    assert mx.classify_outcome(rolled) == "III"
 
 
 def test_never_closing_grippers_produces_no_events(model, world_cfg,
@@ -254,5 +254,5 @@ def test_threshold_monotonicity(model, world_cfg, clean_episode):
                 retain_rot=world_cfg.retain_rot * factor)
             rolled = ws.replay_episode(model, cfg2, bumped)
             outcomes[factor] = mx.classify_outcome(rolled)
-        if outcomes[1.0].success:
-            assert outcomes[2.0].category != "III"
+        if outcomes[1.0] in ("I", "II"):
+            assert outcomes[2.0] != "III"
