@@ -1,4 +1,7 @@
-"""Two-arm state, relative end-effector transform, and transform locking.
+"""Two-arm model, relative end-effector transform, and transform locking.
+
+A two-arm configuration is the 14 joints ``episodes.Q14`` of a 16-D
+command, laid out by ``episodes.JOINTS``.
 
 Transform locking fixes the relative pose between the grippers: the
 control arm is commanded freely while the subordinate arm tracks IK
@@ -15,6 +18,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import kinematics as kin
+from .episodes import JOINTS
 from .errors import BilockError
 from .geometry import Pose, geodesic_distance
 
@@ -40,35 +44,6 @@ class BimanualModel:
         return "right" if side == "left" else "left"
 
 
-@dataclass
-class BimanualState:
-    """Joint configuration in R^14 plus gripper commands in [0, 1]."""
-
-    q_left: np.ndarray
-    q_right: np.ndarray
-    grip_left: float = 0.0
-    grip_right: float = 0.0
-
-    def __post_init__(self):
-        self.q_left = np.asarray(self.q_left, dtype=float).reshape(7)
-        self.q_right = np.asarray(self.q_right, dtype=float).reshape(7)
-        for g in (self.grip_left, self.grip_right):
-            if not 0.0 <= g <= 1.0:
-                raise ValueError("gripper commands must lie in [0, 1]")
-
-    @classmethod
-    def from_vector(cls, v):
-        v = np.asarray(v, dtype=float).reshape(16)
-        return cls(v[:7], v[7:14], v[14], v[15])
-
-    def to_vector(self):
-        return np.concatenate([self.q_left, self.q_right,
-                               [self.grip_left, self.grip_right]])
-
-    def q14(self):
-        return np.concatenate([self.q_left, self.q_right])
-
-
 @dataclass(frozen=True)
 class TransformLock:
     """Snapshot of the subordinate gripper pose in the control frame."""
@@ -86,8 +61,8 @@ class TransformLock:
 def relative_generic(model, q14):
     """Left gripper in the right gripper frame as (nested-list R, list p),
     generic in the scalars of q14 (floats or ``Dual2``)."""
-    rl, tl = kin.forward_kinematics_generic(model.left, q14[:7])
-    rr, tr = kin.forward_kinematics_generic(model.right, q14[7:14])
+    rl, tl = kin.forward_kinematics_generic(model.left, q14[JOINTS["left"]])
+    rr, tr = kin.forward_kinematics_generic(model.right, q14[JOINTS["right"]])
     d = [tl[0] - tr[0], tl[1] - tr[1], tl[2] - tr[2]]
     return geo.gmat_mul(geo.gmat_transpose(rr), rl), geo.gmat_t_vec(rr, d)
 
@@ -97,16 +72,16 @@ def relative_of_q14(model, q14):
     return Pose.from_parts(*relative_generic(model, q14))
 
 
-def engage_lock(model, state, control_arm="right", pos_tol=1e-9, rot_tol=1e-8):
-    """Capture the current relative transform in the control-gripper frame."""
-    x = relative_of_q14(model, state.q14())
+def engage_lock(model, q14, control_arm="right", pos_tol=1e-9, rot_tol=1e-8):
+    """Capture the relative transform at q14 in the control-gripper frame."""
+    x = relative_of_q14(model, q14)
     locked = x if control_arm == "right" else x.inverse()
     return TransformLock(control_arm, locked, pos_tol, rot_tol)
 
 
-def check_preservation(model, state, lock):
-    """(pos_err, rot_err, ok) of the current state against the lock."""
-    x = relative_of_q14(model, state.q14())
+def check_preservation(model, q14, lock):
+    """(pos_err, rot_err, ok) of the configuration q14 against the lock."""
+    x = relative_of_q14(model, q14)
     cur = x if lock.control_arm == "right" else x.inverse()
     pos_err = float(np.linalg.norm(cur.translation - lock.locked_rel.translation))
     rot_err = geodesic_distance(cur.rotation, lock.locked_rel.rotation)

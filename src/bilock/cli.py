@@ -177,31 +177,34 @@ def build_parser():
                         help="pipeline config JSON (default: $BILOCK_CONFIG)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    # --seed, --window and --stride only on the stages that read them
+    def add_common(p, seed=False, windows=False):
         p.add_argument("--arm-model-left", dest="arm_model_left")
         p.add_argument("--arm-model-right", dest="arm_model_right")
         p.add_argument("--world", dest="world")
         p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--seed", dest="master_seed", type=int)
-        p.add_argument("--window", dest="window", type=int)
-        p.add_argument("--stride", dest="stride", type=int)
+        if seed:
+            p.add_argument("--seed", dest="master_seed", type=int)
+        if windows:
+            p.add_argument("--window", dest="window", type=int)
+            p.add_argument("--stride", dest="stride", type=int)
 
     p = sub.add_parser("gen", help="generate clean demonstrations")
-    add_common(p)
+    add_common(p, seed=True)
     p.add_argument("--n", dest="n_episodes", type=int)
     p.add_argument("--workers", dest="workers", type=int)
     p.add_argument("--distribution", dest="distribution",
                    choices=("train", "eval", "custom"))
 
     p = sub.add_parser("perturb", help="inject OU constraint violations")
-    add_common(p)
+    add_common(p, seed=True, windows=True)
     p.add_argument("--in", dest="in_dataset", required=True)
     p.add_argument("--level", dest="level", type=int, choices=(0, 1, 2, 3))
     p.add_argument("--eta", dest="eta", type=float,
                    help="raw volatility; overrides --level")
 
     p = sub.add_parser("eval", help="outcome and violation report")
-    add_common(p)
+    add_common(p, windows=True)
     p.add_argument("--in", dest="in_dataset", required=True)
 
     p = sub.add_parser("curvature", help="curvature series and analysis")

@@ -15,7 +15,7 @@ from importlib import resources
 from . import bimanual as bm
 from . import kinematics as kin
 from . import worldsim as ws
-from .episodes import is_int, is_real
+from .episodes import is_int, is_real, real_array
 
 PIPELINE_SCHEMA = "pipeline_config_v1"
 
@@ -77,14 +77,16 @@ class PipelineConfig:
         for name in ("rank_tol", "fd_step"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.distribution == "custom":
-            try:
-                self.box_distribution()
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    "distribution custom needs custom_distribution with "
-                    "x_range, y_range and theta_range, each [lo, hi] with "
-                    "lo < hi") from exc
+        ranges = ("x_range", "y_range", "theta_range")
+        d = self.custom_distribution
+        if not (isinstance(d, dict) and set(d) <= set(ranges)):
+            raise ValueError(f"custom_distribution must be an object with "
+                             f"keys among {ranges}, got {d!r}")
+        for key in ranges if self.distribution == "custom" else ():
+            lo, hi = real_array(d.get(key), (2,), f"custom_distribution {key}")
+            if not lo < hi:
+                raise ValueError(f"custom_distribution {key} must be "
+                                 f"[lo, hi] with lo < hi, got {d[key]!r}")
 
     def box_distribution(self):
         if self.distribution == "train":

@@ -1,4 +1,8 @@
-"""Episode records and the JSON-lines dataset format.
+"""Episodes, the 16-D command layout and the JSON-lines dataset format.
+
+An episode's K knots are the rows of two (K, 16) arrays, the commands
+``act`` and the observations ``obs`` (each the previous command), plus K
+phases and K lock flags.  ``JOINTS``, ``Q14`` and ``GRIP`` name the layout.
 
 One dataset file holds a header record followed by one episode per line.
 Floats round-trip bitwise (shortest-repr JSON encoding), so re-serializing
@@ -23,6 +27,14 @@ from .errors import MalformedRecord, SchemaMismatch
 EPISODE_SCHEMA = "episode_v1"
 DATASET_SCHEMA = "episode_dataset_v1"
 
+# the 16-D command: left arm joints, right arm joints (together Q14), then
+# the left and right gripper channel in [0, 1]
+CMD_DIM = 16
+JOINTS = {"left": slice(0, 7), "right": slice(7, 14)}
+Q14 = slice(0, 14)
+GRIP = {"left": 14, "right": 15}
+GRIPS = slice(14, 16)
+
 PHASES = ("approach", "grasp", "transport", "release", "retreat")
 
 # event kinds
@@ -34,23 +46,6 @@ EVENT_KINDS = (GRASP_ATTACH, GRASP_DETACH, BOX_DROP, PLACED)
 
 
 @dataclass
-class Step:
-    """One knot: observation before the action, the 16-D action, tags."""
-
-    t: int
-    obs: np.ndarray
-    act: np.ndarray
-    phase: str
-    lock: bool
-
-    def __post_init__(self):
-        self.obs = np.asarray(self.obs, dtype=float).reshape(16)
-        self.act = np.asarray(self.act, dtype=float).reshape(16)
-        if self.phase not in PHASES:
-            raise ValueError(f"unknown phase {self.phase!r}")
-
-
-@dataclass
 class Event:
     t: int
     kind: str
@@ -59,29 +54,25 @@ class Event:
 
 @dataclass
 class Episode:
+    """Knot t is row t of ``obs`` and ``act``, ``phases[t]`` and ``locks[t]``."""
+
     model_ref: str
     dt: float
-    steps: list
+    obs: np.ndarray
+    act: np.ndarray
+    phases: list
+    locks: list
     events: list
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def n_steps(self):
-        return len(self.steps)
-
-    def actions(self):
-        return np.array([s.act for s in self.steps])
-
-    def observations(self):
-        return np.array([s.obs for s in self.steps])
-
     def transport_indices(self):
-        return [i for i, s in enumerate(self.steps) if s.phase == "transport"]
+        return [t for t, p in enumerate(self.phases) if p == "transport"]
 
 
 def episode_to_record(ep):
-    steps = [{"t": s.t, "obs": s.obs.tolist(), "act": s.act.tolist(),
-              "phase": s.phase, "lock": bool(s.lock)} for s in ep.steps]
+    steps = [{"t": t, "obs": o, "act": a, "phase": p, "lock": bool(k)}
+             for t, (o, a, p, k) in enumerate(zip(
+                 ep.obs.tolist(), ep.act.tolist(), ep.phases, ep.locks))]
     events = [{"t": e.t, "kind": e.kind, "arm": e.arm} for e in ep.events]
     return {"schema_version": EPISODE_SCHEMA, "model_ref": ep.model_ref,
             "dt": ep.dt, "metadata": ep.metadata, "steps": steps,
@@ -96,18 +87,28 @@ def episode_from_record(rec):
         raise ValueError(f"model_ref must be a string, got {rec['model_ref']!r}")
     if not (is_real(rec["dt"]) and rec["dt"] > 0.0):
         raise ValueError(f"dt must be a finite number > 0, got {rec['dt']!r}")
-    steps = [Step(s["t"], s["obs"], s["act"], s["phase"], s["lock"])
-             for s in rec["steps"]]
+    steps = rec["steps"]
     for i, s in enumerate(steps):
-        if not (is_int(s.t) and s.t == i):
-            raise ValueError(f"step {i}: t must equal its index, got {s.t!r}")
-        if not isinstance(s.lock, bool):
-            raise ValueError(f"step {s.t}: lock must be true or false, "
-                             f"got {s.lock!r}")
-        if not (np.isfinite(s.obs).all() and np.isfinite(s.act).all()):
-            raise ValueError(f"step {s.t}: obs and act must be finite")
-        if not all(0.0 <= g <= 1.0 for g in (*s.obs[14:], *s.act[14:])):
-            raise ValueError(f"step {s.t}: gripper channels must lie in [0, 1]")
+        if not (is_int(s["t"]) and s["t"] == i):
+            raise ValueError(f"step {i}: t must equal its index, got {s['t']!r}")
+        if s["phase"] not in PHASES:
+            raise ValueError(f"step {i}: unknown phase {s['phase']!r}")
+        if not isinstance(s["lock"], bool):
+            raise ValueError(f"step {i}: lock must be true or false, "
+                             f"got {s['lock']!r}")
+        if not all(isinstance(s[k], list) and len(s[k]) == CMD_DIM
+                   and set(map(type, s[k])) <= {float, int}
+                   for k in ("obs", "act")):
+            raise ValueError(f"step {i}: obs and act must be {CMD_DIM} numbers")
+    obs, act = (np.array([s[k] for s in steps], dtype=float).reshape(
+        len(steps), CMD_DIM) for k in ("obs", "act"))
+    grips = np.hstack([obs[:, GRIPS], act[:, GRIPS]])
+    finite = np.isfinite(np.hstack([obs, act]))
+    for ok, what in ((finite, "obs and act must be finite"),
+                     ((grips >= 0.0) & (grips <= 1.0),
+                      "gripper channels must lie in [0, 1]")):
+        if not ok.all():
+            raise ValueError(f"step {ok.all(axis=1).argmin()}: {what}")
     events = [Event(e["t"], e["kind"], e.get("arm")) for e in rec["events"]]
     for e in events:
         if e.kind not in EVENT_KINDS:
@@ -120,7 +121,9 @@ def episode_from_record(rec):
                              f"[0, {len(steps)}), got {e.t!r}")
     metadata = rec.get("metadata", {})
     _check_metadata(metadata)
-    return Episode(rec["model_ref"], rec["dt"], steps, events, metadata)
+    return Episode(rec["model_ref"], rec["dt"], obs, act,
+                   [s["phase"] for s in steps], [s["lock"] for s in steps],
+                   events, metadata)
 
 
 def is_int(v):
@@ -139,13 +142,20 @@ def is_real(v):
         return False
 
 
+def real_array(v, shape, name):
+    """v as a float array of the given shape; a ValueError unless every
+    element is ``is_real``, checked before any conversion."""
+    a = np.array(v, dtype=object)
+    if a.shape != shape or not all(map(is_real, a.flat)):
+        raise ValueError(f"{name} must be {' x '.join(map(str, shape))} "
+                         f"finite numbers, got {v!r}")
+    return a.astype(float)
+
+
 def _check_metadata(meta):
     """The metadata the stages read: box pose, control arm, SEW angles and
     the IK branch (three flags; absent means the default branch)."""
-    box = meta.get("box_init")
-    if not (isinstance(box, list) and len(box) == 3
-            and all(is_real(v) for v in box)):
-        raise ValueError(f"metadata box_init must be 3 numbers, got {box!r}")
+    real_array(meta.get("box_init"), (3,), "metadata box_init")
     if meta.get("control_arm") not in ("left", "right"):
         raise ValueError("metadata control_arm must be 'left' or 'right', "
                          f"got {meta.get('control_arm')!r}")

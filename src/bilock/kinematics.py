@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry as geo
+from .episodes import real_array
 from .errors import (DegenerateSEW, ElbowSingular, JointLimitViolation,
                      Unreachable)
 from .geometry import Pose, Rotation
@@ -73,12 +74,13 @@ class ArmModel:
     sew_zero_dir: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if self.structure_tag != "S-R-S":
             raise ValueError("only S-R-S arms are supported")
-        self.joint_axes = np.asarray(self.joint_axes, dtype=float)
-        self.joint_limits = np.asarray(self.joint_limits, dtype=float)
-        if self.joint_axes.shape != (7, 3):
-            raise ValueError("expected 7 joint axes")
+        self.joint_axes = real_array(self.joint_axes, (7, 3), "joint_axes")
+        self.joint_limits = real_array(self.joint_limits, (7, 2),
+                                       "joint_limits")
         if len(self.joint_offsets) != 8:
             raise ValueError("expected 8 joint offsets (7 joints + flange)")
         for i, p in enumerate(self.joint_offsets):
@@ -90,12 +92,15 @@ class ArmModel:
             raise ValueError("joint axes must be unit norm within 1e-12")
         if np.any(self.joint_limits[:, 0] >= self.joint_limits[:, 1]):
             raise ValueError("joint limits must satisfy lo < hi")
-        pole = np.asarray(self.sew_pole, dtype=float)
-        self.sew_pole = pole / np.linalg.norm(pole)
-        zd = np.asarray(self.sew_zero_dir, dtype=float)
+        pole = real_array(self.sew_pole, (3,), "sew_pole")
+        n = np.linalg.norm(pole)
+        if not 1e-9 <= n < math.inf:
+            raise ValueError("sew_pole must have a finite norm >= 1e-9")
+        self.sew_pole = pole / n
+        zd = real_array(self.sew_zero_dir, (3,), "sew_zero_dir")
         zd = zd - (zd @ self.sew_pole) * self.sew_pole
         n = np.linalg.norm(zd)
-        if n < 1e-9:
+        if not 1e-9 <= n < math.inf:
             raise ValueError("sew_zero_dir parallel to sew_pole")
         self.sew_zero_dir = zd / n
 
@@ -244,19 +249,26 @@ def branch_of(q):
 # --- analytic inverse kinematics ---
 
 def _zyz(r, flip):
-    """Euler ZYZ decomposition, middle angle sign selected by flip."""
+    """Euler ZYZ decomposition r = Rz(a) Ry(b) Rz(c), the sign of b selected
+    by flip.
+
+    a and b come from the third column.  c is read from the first column of
+    (Rz(a) Ry(b))^T r, not from the third row: near b = 0 the third row and
+    column are about |sin b| in size, so each outer angle alone is off by
+    about 1e-16/|b|, and only c solved against the computed a cancels that
+    error in the recomposition.
+    """
     sy = math.hypot(r[0, 2], r[1, 2])
     if sy < 1e-12:
         if r[2, 2] > 0.0:
             return 0.0, 0.0, math.atan2(r[1, 0], r[0, 0])
         return 0.0, math.pi, math.atan2(r[0, 1], r[1, 1])
-    if flip:
-        return (math.atan2(-r[1, 2], -r[0, 2]),
-                -math.atan2(sy, r[2, 2]),
-                math.atan2(-r[2, 1], r[2, 0]))
-    return (math.atan2(r[1, 2], r[0, 2]),
-            math.atan2(sy, r[2, 2]),
-            math.atan2(r[2, 1], -r[2, 0]))
+    sign = -1.0 if flip else 1.0
+    a = math.atan2(sign * r[1, 2], sign * r[0, 2])
+    b = sign * math.atan2(sy, r[2, 2])
+    ca, sa, cb, sb = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
+    return a, b, math.atan2(ca * r[1, 0] - sa * r[0, 0],
+                            cb * (ca * r[0, 0] + sa * r[1, 0]) - sb * r[2, 0])
 
 
 _ELBOW_MARGIN = 1e-6
@@ -313,11 +325,12 @@ def inverse_kinematics(model, target, psi, branch=IkBranch(),
 # --- config IO (arm_model_v1) ---
 
 def _pose_from_config(node):
-    rpy = np.deg2rad(np.asarray(node.get("rpy_deg", [0.0, 0.0, 0.0]), dtype=float))
+    rpy = np.deg2rad(real_array(node.get("rpy_deg", [0.0, 0.0, 0.0]), (3,),
+                                "rpy_deg"))
     rot = (Rotation.from_axis_angle([0.0, 0.0, rpy[2]])
            @ Rotation.from_axis_angle([0.0, rpy[1], 0.0])
            @ Rotation.from_axis_angle([rpy[0], 0.0, 0.0]))
-    return Pose(rot, node.get("xyz", [0.0, 0.0, 0.0]))
+    return Pose(rot, real_array(node.get("xyz", [0.0, 0.0, 0.0]), (3,), "xyz"))
 
 
 def arm_model_from_dict(cfg):
@@ -333,8 +346,8 @@ def arm_model_from_dict(cfg):
         values["base_pose"] = _pose_from_config(values["base_pose"])
         values["joint_offsets"] = [_pose_from_config(n)
                                    for n in values["joint_offsets"]]
-        values["joint_limits"] = np.deg2rad(
-            np.asarray(values.pop("joint_limits_deg"), dtype=float))
+        values["joint_limits"] = np.deg2rad(real_array(
+            values.pop("joint_limits_deg"), (7, 2), "joint_limits_deg"))
         model = ArmModel(**values)
         model.srs  # the analytic-IK layout checks, so a bad layout fails here
         return model

@@ -23,6 +23,7 @@ import numpy as np
 from . import bimanual as bm
 from . import geometry as geo
 from .autodiff import DiffConfig, jacobian_numeric, value_jacobian_hessian
+from .episodes import Q14
 from .errors import NoTransportPhase, RankDeficient
 
 RANK_TOL = 1e-8
@@ -72,7 +73,7 @@ def constraint_for_episode(model, episode):
     transport = episode.transport_indices()
     if not transport:
         raise NoTransportPhase("episode has no transport phase to anchor on")
-    return make_constraint(model, episode.steps[transport[0]].act[:14])
+    return make_constraint(model, episode.act[transport[0], Q14])
 
 
 @dataclass
@@ -162,11 +163,9 @@ def rollout_curvature_series(f, episode, cfg=DiffConfig(), rank_tol=RANK_TOL,
         raise NoTransportPhase("episode has no transport-phase knots")
     records = []
     gaps = []
-    for idx in transport[::knot_stride]:
-        t = episode.steps[idx].t
-        q = episode.steps[idx].act[:14]
+    for t in transport[::knot_stride]:
         try:
-            res = riemann_and_kretschmann(f, q, cfg, rank_tol)
+            res = riemann_and_kretschmann(f, episode.act[t, Q14], cfg, rank_tol)
         except RankDeficient as exc:
             gaps.append({"t": t, "sigma_min": exc.sigma_min})
             continue

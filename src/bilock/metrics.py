@@ -15,7 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import bimanual as bm
-from .episodes import BOX_DROP, GRASP_ATTACH, GRASP_DETACH, PLACED
+from .episodes import BOX_DROP, GRASP_ATTACH, GRASP_DETACH, PLACED, Q14
 from .errors import (EmptyDataset, InvalidCounts, MissingEventLog,
                      NoTransportPhase)
 from .geometry import geodesic_distance
@@ -35,8 +35,7 @@ def violation_profile(model, episode, window=16, stride=None):
     transport = episode.transport_indices()
     if not transport:
         raise NoTransportPhase("episode has no transport-phase knots")
-    rels = [bm.relative_of_q14(model, episode.steps[i].act[:14])
-            for i in transport]
+    rels = [bm.relative_of_q14(model, q) for q in episode.act[transport, Q14]]
     pos = []
     rot = []
     for start in range(0, len(transport), stride):
@@ -62,8 +61,7 @@ def classify_outcome(episode):
     attaches = sum(1 for e in episode.events if e.kind == GRASP_ATTACH)
     dropped = any(e.kind == BOX_DROP for e in episode.events)
     detach_in_transport = any(
-        e.kind == GRASP_DETACH
-        and episode.steps[e.t].phase == "transport"
+        e.kind == GRASP_DETACH and episode.phases[e.t] == "transport"
         for e in episode.events)
     if placed:
         return "II" if detach_in_transport else "I"

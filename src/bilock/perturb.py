@@ -21,12 +21,13 @@ reversion ``OU_ALPHA`` and the unit time step are fixed.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import math
 
 import numpy as np
 
 from . import kinematics as kin
+from .episodes import JOINTS
 from .errors import BilockError, EmptyDataset, IkFailureDuringPerturb
 from .geometry import Pose, so3_exp
 from .metrics import violation_profile, violation_table
@@ -84,23 +85,18 @@ def perturb_episode(model, episode, level, eta, seed):
     control arm are untouched.  Knots whose perturbed pose has no IK
     solution are left clean and counted in metadata["ik_failures"].
     """
-    out = copy.deepcopy(episode)
-    out.metadata = dict(out.metadata)
-    out.metadata.update({"perturbation_level": level, "eta": eta,
-                         "perturb_seed": int(seed), "ik_failures": 0})
+    out = dataclasses.replace(episode, act=episode.act.copy(), metadata={
+        **episode.metadata, "perturbation_level": level, "eta": eta,
+        "perturb_seed": int(seed), "ik_failures": 0})
     if eta == 0.0:
         return out
 
-    control = episode.metadata["control_arm"]
-    sub = "left" if control == "right" else "right"
+    sub = model.other(episode.metadata["control_arm"])
     sub_model = model.arm(sub)
-    psi = episode.metadata["psi_left" if sub == "left" else "psi_right"]
+    psi = episode.metadata[f"psi_{sub}"]
     branch = kin.IkBranch(*episode.metadata.get("branch", (False, False, False)))
-    sub_slice = slice(0, 7) if sub == "left" else slice(7, 14)
 
     transport = out.transport_indices()
-    if not transport:
-        return out
     path = ou_path(eta, len(transport), seed)
 
     failures = 0
@@ -108,15 +104,14 @@ def perturb_episode(model, episode, level, eta, seed):
         z = path[j]
         if not np.any(z):
             continue
-        act = out.steps[idx].act
-        pose = kin.forward_kinematics(sub_model, act[sub_slice])
+        pose = kin.forward_kinematics(sub_model, out.act[idx, JOINTS[sub]])
         try:
             q_new = kin.inverse_kinematics(sub_model, _perturbed_pose(pose, z),
                                            psi, branch, enforce_limits=False)
         except BilockError:
             failures += 1
             continue
-        act[sub_slice] = q_new
+        out.act[idx, JOINTS[sub]] = q_new
     out.metadata["ik_failures"] = failures
     return out
 

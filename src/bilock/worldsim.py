@@ -28,8 +28,9 @@ import numpy as np
 
 from . import bimanual as bm
 from . import kinematics as kin
-from .episodes import (BOX_DROP, GRASP_ATTACH, GRASP_DETACH, PLACED, Episode,
-                       Event, Step, is_int, is_real)
+from .episodes import (BOX_DROP, CMD_DIM, GRASP_ATTACH, GRASP_DETACH, GRIP,
+                       JOINTS, PLACED, Q14, Episode, Event, is_int, is_real,
+                       real_array)
 from .errors import BilockError, PathInfeasible, UnreachableGrasp
 from .geometry import Pose, Rotation, geodesic_distance, so3_exp, so3_log
 from .seeding import rng_from
@@ -103,11 +104,7 @@ class WorldConfig:
 
     def __post_init__(self):
         for name in ("box_dims", "shelf_center", "shelf_region_half"):
-            v = getattr(self, name)
-            if not (isinstance(v, (list, tuple, np.ndarray)) and len(v) == 3
-                    and all(is_real(x) for x in v)):
-                raise ValueError(f"{name} must be 3 finite numbers, got {v!r}")
-            setattr(self, name, np.asarray(v, dtype=float))
+            setattr(self, name, real_array(getattr(self, name), (3,), name))
         for f in fields(self):  # annotations are strings here
             if f.type == "float" and not is_real(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be a finite number, "
@@ -209,26 +206,25 @@ class TaskWorld:
                 return side
         return None
 
-    def step(self, model, state):
-        """Advance the attachment rules for one commanded state.
+    def step(self, model, cmd):
+        """Advance the attachment rules for one 16-D command.
 
         Returns a list of (kind, arm) event tuples, in deterministic
         left-before-right order.
         """
         if self.attach_state == "free":
-            return self._try_attach(model, state)
+            return self._try_attach(model, cmd)
         if self.attach_state != "grasped":
             return []
 
         events = []
-        poses = {"left": kin.forward_kinematics(model.left, state.q_left),
-                 "right": kin.forward_kinematics(model.right, state.q_right)}
-        grips = {"left": state.grip_left, "right": state.grip_right}
+        poses = {side: kin.forward_kinematics(model.arm(side), cmd[joints])
+                 for side, joints in JOINTS.items()}
         carrier = self._carrier()
         self.box_pose = poses[carrier] @ self.grasp_rel[carrier]
 
         attached = [s for s in ("left", "right") if self.attached[s]]
-        opening = [s for s in attached if grips[s] < 0.5]
+        opening = [s for s in attached if cmd[GRIP[s]] < 0.5]
         if opening and len(opening) == len(attached):
             if self.in_shelf_region():
                 self.attach_state = "placed"
@@ -275,12 +271,12 @@ class TaskWorld:
             events.append((BOX_DROP, None))
         return events
 
-    def _try_attach(self, model, state):
-        if state.grip_left < 0.5 or state.grip_right < 0.5:
+    def _try_attach(self, model, cmd):
+        if cmd[GRIP["left"]] < 0.5 or cmd[GRIP["right"]] < 0.5:
             return []
         nominal_l, nominal_r = grasp_targets(self.cfg, self.box_pose)
-        poses = {"left": kin.forward_kinematics(model.left, state.q_left),
-                 "right": kin.forward_kinematics(model.right, state.q_right)}
+        poses = {side: kin.forward_kinematics(model.arm(side), cmd[joints])
+                 for side, joints in JOINTS.items()}
         for pose, nominal in ((poses["left"], nominal_l), (poses["right"], nominal_r)):
             dp = np.linalg.norm(pose.translation - nominal.translation)
             dr = geodesic_distance(pose.rotation, nominal.rotation)
@@ -295,31 +291,35 @@ class TaskWorld:
         return events
 
 
+def _command(q, grip):
+    """16-D command of per-side joint configurations, both grippers at grip."""
+    cmd = np.full(CMD_DIM, float(grip))
+    cmd[JOINTS["left"]], cmd[JOINTS["right"]] = q["left"], q["right"]
+    return cmd
+
+
 # --- first-order-hold execution ---
 
 def execute_actions(model, world, actions, phases, locks, *, initial_state,
                     dt=0.1, substeps=5, model_ref="", metadata=None):
-    """Run stored actions through the world with first-order holds.
+    """Run stored (K, 16) actions through the world with first-order holds.
 
     Between knots the command is linearly interpolated at ``substeps``
-    world evaluations.  Each step's observation is the previous command
-    (the initial state at the first knot).
+    world evaluations.  Each knot's observation is the previous command
+    (the 16-D initial state at the first knot).
     """
-    steps = []
+    act = np.array(actions, dtype=float)
+    obs = np.vstack([initial_state, act])[:-1]
     events = []
-    prev = initial_state.to_vector()
-    for t, (act, phase, lock) in enumerate(
-            zip(np.asarray(actions, dtype=float), phases, locks)):
+    for t, (prev, cmd) in enumerate(zip(obs, act)):
         for s in range(1, substeps + 1):
             alpha = s / substeps
-            interp = (1.0 - alpha) * prev + alpha * act
-            for kind, arm in world.step(model, bm.BimanualState.from_vector(interp)):
+            for kind, arm in world.step(model, (1.0 - alpha) * prev + alpha * cmd):
                 events.append(Event(t, kind, arm))
-        steps.append(Step(t, prev.copy(), act.copy(), phase, bool(lock)))
-        prev = act
-    meta = dict(metadata or {})
-    meta["stream_exhausted"] = True  # an episode_v1 key; datasets carry it
-    return Episode(model_ref, dt, steps, events, meta)
+    # stream_exhausted is an episode_v1 key; datasets carry it
+    meta = {**(metadata or {}), "stream_exhausted": True}
+    return Episode(model_ref, dt, obs, act, list(phases),
+                   [bool(lock) for lock in locks], events, meta)
 
 
 # --- scripted demonstration generation ---
@@ -340,15 +340,14 @@ class _ScriptKnot:
     phase: str
     lock: bool
     grip: float
-    pose_left: Pose
-    pose_right: Pose
+    poses: dict  # side -> target flange pose
 
 
 def _segment(knots, phase, lock, n, pose_fn, grip_fn):
     for j in range(n):
         alpha = (j + 1) / n
-        pl, pr = pose_fn(alpha)
-        knots.append(_ScriptKnot(phase, lock, grip_fn(alpha), pl, pr))
+        knots.append(_ScriptKnot(phase, lock, grip_fn(alpha),
+                                 dict(zip(("left", "right"), pose_fn(alpha)))))
 
 
 def _home_poses(cfg):
@@ -417,7 +416,7 @@ def _script_to_actions(model, cfg, knots, grasp_poses, approach_poses):
     driven through the transform lock during locked phases."""
     branch = kin.IkBranch()
     control = cfg.control_arm
-    sub = "left" if control == "right" else "right"
+    sub = model.other(control)
 
     solved = {}
     for label, poses in (("grasp", grasp_poses), ("approach", approach_poses)):
@@ -429,16 +428,15 @@ def _script_to_actions(model, cfg, knots, grasp_poses, approach_poses):
                 raise UnreachableGrasp(
                     f"{side} {label} pose infeasible: {exc}") from exc
 
-    lock_state = bm.BimanualState(solved["grasp", "left"],
-                                  solved["grasp", "right"], 1.0, 1.0)
-    lock = bm.engage_lock(model, lock_state, control, cfg.lock_pos_tol,
-                          cfg.lock_rot_tol)
+    grasp_q = {side: solved["grasp", side] for side in JOINTS}
+    lock = bm.engage_lock(model, _command(grasp_q, 1.0)[Q14], control,
+                          cfg.lock_pos_tol, cfg.lock_rot_tol)
 
-    actions, phases, locks = [], [], []
+    actions = []
     prev = {"left": None, "right": None}
     for i, knot in enumerate(knots):
         q = {}
-        ctrl_pose = knot.pose_right if control == "right" else knot.pose_left
+        ctrl_pose = knot.poses[control]
         try:
             q[control] = kin.inverse_kinematics(
                 model.arm(control), ctrl_pose, cfg.psi(control), branch)
@@ -454,27 +452,22 @@ def _script_to_actions(model, cfg, knots, grasp_poses, approach_poses):
                     "clean demonstrations must track the lock exactly")
             q[sub] = q_sub
         else:
-            sub_pose = knot.pose_left if sub == "left" else knot.pose_right
             try:
                 q[sub] = kin.inverse_kinematics(
-                    model.arm(sub), sub_pose, cfg.psi(sub), branch)
+                    model.arm(sub), knot.poses[sub], cfg.psi(sub), branch)
             except BilockError as exc:
                 raise PathInfeasible(
                     f"subordinate IK failed at knot {i} ({knot.phase}): {exc}") from exc
         prev.update(q)
-        actions.append(np.concatenate([q["left"], q["right"],
-                                       [knot.grip, knot.grip]]))
-        phases.append(knot.phase)
-        locks.append(knot.lock)
-    return np.array(actions), phases, locks
+        actions.append(_command(q, knot.grip))
+    return np.array(actions)
 
 
 def home_state(model, cfg):
-    """Joint-space staging configuration used as the first observation."""
-    home_l, home_r = _home_poses(cfg)
-    q_l = kin.inverse_kinematics(model.left, home_l, cfg.psi_left)
-    q_r = kin.inverse_kinematics(model.right, home_r, cfg.psi_right)
-    return bm.BimanualState(q_l, q_r, 0.0, 0.0)
+    """16-D staging command, grippers open, used as the first observation."""
+    q = {side: kin.inverse_kinematics(model.arm(side), pose, cfg.psi(side))
+         for side, pose in zip(("left", "right"), _home_poses(cfg))}
+    return _command(q, 0.0)
 
 
 def _execute_from_home(model, cfg, init, actions, phases, locks, model_ref,
@@ -494,8 +487,7 @@ def generate_demonstration(model, cfg, init, seed):
     """
     rng = rng_from(seed)
     knots, grasps, approaches = _build_script(cfg, init, rng)
-    actions, phases, locks = _script_to_actions(model, cfg, knots, grasps,
-                                                approaches)
+    actions = _script_to_actions(model, cfg, knots, grasps, approaches)
     meta = {
         "seed": int(seed),
         "box_init": [float(v) for v in init],
@@ -509,8 +501,8 @@ def generate_demonstration(model, cfg, init, seed):
         "ik_failures": 0,
     }
     episode = _execute_from_home(
-        model, cfg, init, actions, phases, locks,
-        f"{model.left.name}+{model.right.name}", meta)
+        model, cfg, init, actions, [k.phase for k in knots],
+        [k.lock for k in knots], f"{model.left.name}+{model.right.name}", meta)
     kinds = [e.kind for e in episode.events]
     if PLACED not in kinds or kinds.count(GRASP_ATTACH) != 2:
         raise PathInfeasible(
@@ -527,7 +519,5 @@ def replay_episode(model, cfg, episode, extra_meta=None):
     """
     meta = {**episode.metadata, "source": "replay", **(extra_meta or {})}
     return _execute_from_home(model, cfg, episode.metadata["box_init"],
-                              episode.actions(),
-                              [s.phase for s in episode.steps],
-                              [s.lock for s in episode.steps],
+                              episode.act, episode.phases, episode.locks,
                               episode.model_ref, meta)

@@ -20,6 +20,7 @@ from bilock import perturb as pb
 from bilock import stats as st
 from bilock import worldsim as ws
 from bilock.autodiff import DiffConfig, hessian_numeric, jacobian_numeric
+from bilock.episodes import Q14
 from bilock.geometry import geodesic_distance
 from bilock.seeding import rng_from
 
@@ -52,9 +53,9 @@ def test_criterion_1_transform_lock_adherence(model, clean200):
     worst_pos = worst_rot = 0.0
     for ep in clean200[:50]:
         transport = ep.transport_indices()
-        ref = bm.relative_of_q14(model, ep.steps[transport[0]].act[:14])
+        ref = bm.relative_of_q14(model, ep.act[transport[0], Q14])
         for i in transport:
-            x = bm.relative_of_q14(model, ep.steps[i].act[:14])
+            x = bm.relative_of_q14(model, ep.act[i, Q14])
             worst_pos = max(worst_pos, float(np.linalg.norm(
                 x.translation - ref.translation)))
             worst_rot = max(worst_rot, geodesic_distance(x.rotation,

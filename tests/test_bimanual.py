@@ -3,21 +3,10 @@ import pytest
 
 from bilock import bimanual as bm
 from bilock import kinematics as kin
+from bilock.episodes import JOINTS
 from bilock.geometry import Pose, Rotation, geodesic_distance
 
 from conftest import random_q14
-
-
-def state_of(model, q14, grips=(1.0, 1.0)):
-    return bm.BimanualState(q14[:7], q14[7:14], *grips)
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        bm.BimanualState(np.zeros(7), np.zeros(7), grip_left=1.5)
-    v = np.arange(16.0) / 16.0
-    s = bm.BimanualState.from_vector(v)
-    assert np.array_equal(s.to_vector(), v)
 
 
 def test_relative_transform_identity_for_coincident_flanges(model):
@@ -68,18 +57,16 @@ def test_relative_transform_definitional_identity(model):
 def test_engage_then_check_is_zero(model):
     rng = np.random.default_rng(32)
     q = random_q14(model, rng, scale=0.7)
-    state = state_of(model, q)
-    lock = bm.engage_lock(model, state)
-    pos, rot, ok = bm.check_preservation(model, state, lock)
+    lock = bm.engage_lock(model, q)
+    pos, rot, ok = bm.check_preservation(model, q, lock)
     assert pos == 0.0 and rot == 0.0 and ok
 
 
 def test_engage_left_right_are_inverses(model):
     rng = np.random.default_rng(33)
     q = random_q14(model, rng, scale=0.7)
-    state = state_of(model, q)
-    lock_r = bm.engage_lock(model, state, "right")
-    lock_l = bm.engage_lock(model, state, "left")
+    lock_r = bm.engage_lock(model, q, "right")
+    lock_l = bm.engage_lock(model, q, "left")
     prod = lock_r.locked_rel @ lock_l.locked_rel
     assert np.linalg.norm(prod.translation) <= 1e-12
     assert geodesic_distance(prod.rotation, Rotation.identity()) <= 1e-12
@@ -88,18 +75,18 @@ def test_engage_left_right_are_inverses(model):
 def test_check_preservation_constructed_errors(model):
     rng = np.random.default_rng(34)
     q = random_q14(model, rng, scale=0.7)
-    state = state_of(model, q)
-    lock = bm.engage_lock(model, state, "right", pos_tol=0.001, rot_tol=0.001)
+    q_left, q_right = q[JOINTS["left"]], q[JOINTS["right"]]
+    lock = bm.engage_lock(model, q, "right", pos_tol=0.001, rot_tol=0.001)
 
     # displace the subordinate (left) flange by a pure 2 mm translation
-    left_pose = kin.forward_kinematics(model.left, state.q_left)
-    psi = kin.sew_angle(model.left, state.q_left)
+    left_pose = kin.forward_kinematics(model.left, q_left)
+    psi = kin.sew_angle(model.left, q_left)
     shifted = Pose(left_pose.rotation, left_pose.translation + [0.0, 0.0, 0.002])
     q_l = kin.inverse_kinematics(model.left, shifted, psi,
-                                 kin.branch_of(state.q_left),
+                                 kin.branch_of(q_left),
                                  enforce_limits=False)
     pos, rot, ok = bm.check_preservation(
-        model, bm.BimanualState(q_l, state.q_right, 1.0, 1.0), lock)
+        model, np.concatenate([q_l, q_right]), lock)
     assert abs(pos - 0.002) <= 1e-9
     assert rot <= 1e-9
     assert not ok
@@ -109,10 +96,10 @@ def test_check_preservation_constructed_errors(model):
                            @ kin.geo.so3_exp([0.0, 0.0, 0.01])),
                   left_pose.translation)
     q_l = kin.inverse_kinematics(model.left, turned, psi,
-                                 kin.branch_of(state.q_left),
+                                 kin.branch_of(q_left),
                                  enforce_limits=False)
     pos, rot, ok = bm.check_preservation(
-        model, bm.BimanualState(q_l, state.q_right, 1.0, 1.0), lock)
+        model, np.concatenate([q_l, q_right]), lock)
     assert pos <= 1e-9
     assert abs(rot - 0.01) <= 1e-9
 
@@ -124,8 +111,7 @@ def test_subordinate_command_tracks_and_holds(model, world_cfg):
     gl, gr = ws.grasp_targets(world_cfg, box)
     q_l = kin.inverse_kinematics(model.left, gl, world_cfg.psi_left)
     q_r = kin.inverse_kinematics(model.right, gr, world_cfg.psi_right)
-    state = bm.BimanualState(q_l, q_r, 1.0, 1.0)
-    lock = bm.engage_lock(model, state)
+    lock = bm.engage_lock(model, np.concatenate([q_l, q_r]))
 
     # control pose unchanged: subordinate reproduces its lock-time pose
     q_new, held = bm.subordinate_command(model, lock, gr, world_cfg.psi_left,
@@ -158,7 +144,7 @@ def test_subordinate_psi_changes_config_not_transform(model, world_cfg):
     gl, gr = ws.grasp_targets(world_cfg, box)
     q_l = kin.inverse_kinematics(model.left, gl, world_cfg.psi_left)
     q_r = kin.inverse_kinematics(model.right, gr, world_cfg.psi_right)
-    lock = bm.engage_lock(model, bm.BimanualState(q_l, q_r, 1.0, 1.0))
+    lock = bm.engage_lock(model, np.concatenate([q_l, q_r]))
     configs = []
     for psi in (-0.3, 0.0, 0.3):
         q_new, held = bm.subordinate_command(model, lock, gr, psi, prev_sub=q_l)

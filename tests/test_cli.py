@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import warnings
 
@@ -100,6 +101,16 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
                    ({"rank_tol": "x"}, "curvature"),
                    ({"fd_step": None}, "curvature"),
                    ({"workers": 1.5}, "gen"), ({"world": 5}, "gen")]
+    # custom box ranges: overflowing or text bounds, an unknown key, and a
+    # custom_distribution that is not an object
+    huge = 10 ** 400
+    ranges = {"y_range": [0.5, 0.6], "theta_range": [-0.1, 0.1]}
+    bad_configs += [({"distribution": "custom", "custom_distribution": dict(
+        ranges, **extra)}, "gen") for extra in (
+            {"x_range": [0, "1e400"]}, {"x_range": [0, huge]},
+            {"x_range": ["a", "b"]},
+            {"x_range": [-0.1, 0.1], "z_range": [0.0, 1.0]})]
+    bad_configs.append(({"custom_distribution": 5}, "gen"))
     magic = tmp_path / "magic.json"
     magic.write_text(json.dumps({"diff_mode": "magic"}))
     array = tmp_path / "array.json"
@@ -108,9 +119,9 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
     cases = [["gen", "--n", "0"],
              ["gen", "--distribution", "custom"],
              ["--config", str(flipped), "gen"],
-             ["gen", "--window", "0"],
+             ["perturb", "--in", data, "--window", "0"],
              ["--config", str(text_window), "gen"],
-             ["gen", "--stride", "0"],
+             ["eval", "--in", data, "--stride", "0"],
              ["curvature", "--in", data, "--knot-stride", "0"],
              ["curvature", "--in", data, "--max-episodes", "-1"],
              ["curvature", "--in", data, "--rank-tol", "0"],
@@ -134,8 +145,29 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
     cases += [["gen", "--world", str(tmp_path / f"{name}.json")] for name in
               ("text_knots", "text_drop_factor", "text_jitter",
                "short_box_dims", "short_shelf_center", "zero_lock_tol")]
+    # arm documents: a name that is no string, joint limits that are no 7 x 2
+    # array, integers too large for a float, an overflowing base rotation, a
+    # zero or vanishing SEW pole and a NaN joint limit
+    limits = arm["joint_limits_deg"]
+    arm_docs = [dict(arm, name=5),
+                *(dict(arm, joint_limits_deg=v)
+                  for v in (None, True, 5, [], [1.0])),
+                dict(arm, joint_axes=[[0, 0, huge], *arm["joint_axes"][1:]]),
+                dict(arm, joint_limits_deg=[[-huge, 0], *limits[1:]]),
+                dict(arm, sew_pole=[huge, 0, 0]),
+                dict(arm, sew_zero_dir=[0, 0, huge]),
+                dict(arm, base_pose=dict(arm["base_pose"],
+                                         rpy_deg=[0, 0, "1e400"])),
+                dict(arm, sew_pole=[0, 0, 0]), dict(arm, sew_pole=[1e-320, 0, 0]),
+                dict(arm, joint_limits_deg=[[math.nan, 170], *limits[1:]])]
+    for i, doc in enumerate(arm_docs):
+        (tmp_path / f"arm{i}.json").write_text(
+            json.dumps(doc).replace('"1e400"', "1e400"))
+        cases.append(["gen", "--n", "1", "--arm-model-left",
+                      str(tmp_path / f"arm{i}.json")])
     for i, (doc, stage) in enumerate(bad_configs):
-        (tmp_path / f"config{i}.json").write_text(json.dumps(doc))
+        (tmp_path / f"config{i}.json").write_text(
+            json.dumps(doc).replace('"1e400"', "1e400"))
         cases.append(["--config", str(tmp_path / f"config{i}.json"), stage]
                      + ([] if stage == "gen" else ["--in", data]))
     for args in cases:
@@ -164,6 +196,20 @@ def test_workers_is_a_gen_flag(clean_run, tmp_path):
         run(["eval", "--in", str(clean_run / "episodes.jsonl"),
              "--out-dir", str(tmp_path / "o"), "--workers", "2"])
     assert exc.value.code == cli.EXIT_CONFIG
+
+
+def test_flags_belong_to_the_stages_that_read_them(clean_run, tmp_path):
+    """--seed is a gen and perturb flag, --window and --stride are perturb
+    and eval flags; a stage that would ignore one rejects it."""
+    data = str(clean_run / "episodes.jsonl")
+    for args in (["gen", "--window", "3"], ["gen", "--stride", "9"],
+                 ["eval", "--in", data, "--seed", "99"],
+                 ["curvature", "--in", data, "--window", "2"],
+                 ["curvature", "--in", data, "--stride", "2"],
+                 ["curvature", "--in", data, "--seed", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            run(args + ["--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == cli.EXIT_CONFIG, args
 
 
 def test_failed_stage_leaves_no_partial_output(clean_run, tmp_path, capsys):
@@ -208,8 +254,8 @@ def test_perturb_level0_preserves_episodes(clean_run, tmp_path):
     a = read_episodes(clean_run / "episodes.jsonl")
     b = read_episodes(out / "episodes.jsonl")
     for ea, eb in zip(a, b):
-        assert np.array_equal(ea.actions(), eb.actions())
-        assert np.array_equal(ea.observations(), eb.observations())
+        assert np.array_equal(ea.act, eb.act)
+        assert np.array_equal(ea.obs, eb.obs)
     summary = read_json(out / "perturb_summary.json")
     assert summary["level"] == 0
     assert summary["pos_mean_cm"] <= 1e-8
@@ -237,7 +283,7 @@ def test_perturb_eta_overrides_level(clean_run, tmp_path):
     a = read_episodes(out_eta / "episodes.jsonl")
     b = read_episodes(out_l2 / "episodes.jsonl")
     for ea, eb in zip(a, b):
-        assert np.array_equal(ea.actions(), eb.actions())
+        assert np.array_equal(ea.act, eb.act)
     assert read_json(out_eta / "perturb_summary.json")["level"] == "raw"
 
 

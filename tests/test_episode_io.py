@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilock import cli
-from bilock.episodes import (EVENT_KINDS, PHASES, Episode, Event, Step,
+from bilock.episodes import (EVENT_KINDS, PHASES, Episode, Event,
                              episode_from_record, episode_to_record,
                              read_episodes, write_episodes, write_records)
 from bilock.errors import MalformedRecord, SchemaMismatch
@@ -22,9 +22,9 @@ def test_round_trip_bitwise(tmp_path, clean_set):
     assert len(loaded) == len(clean_set)
     for a, b in zip(clean_set, loaded):
         assert a.model_ref == b.model_ref and a.dt == b.dt
-        assert np.array_equal(a.actions(), b.actions())
-        assert np.array_equal(a.observations(), b.observations())
-        assert [s.phase for s in a.steps] == [s.phase for s in b.steps]
+        assert np.array_equal(a.act, b.act)
+        assert np.array_equal(a.obs, b.obs)
+        assert a.phases == b.phases and a.locks == b.locks
         assert ([(e.t, e.kind, e.arm) for e in a.events]
                 == [(e.t, e.kind, e.arm) for e in b.events])
         assert a.metadata == b.metadata
@@ -134,7 +134,8 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
     assert capsys.readouterr().err.startswith("data error: line 2: step 3:")
     # records that passed every stage, or ended in a traceback: step times
     # that are not their indices, an unknown event kind or arm, integers
-    # too large for a float, and one beyond the JSON reader's digit limit
+    # too large for a float, a command channel given as text or a boolean,
+    # and an integer beyond the JSON reader's digit limit
     def steps_t(times):
         return lambda rec: [s.update(t=times(i))
                             for i, s in enumerate(rec["steps"])]
@@ -152,6 +153,8 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
         lambda rec: rec.update(dt=huge),
         lambda rec: rec["steps"][3]["obs"].__setitem__(2, huge),
         lambda rec: rec["steps"][3]["act"].__setitem__(2, huge),
+        lambda rec: rec["steps"][3]["act"].__setitem__(2, "0.5"),
+        lambda rec: rec["steps"][3]["obs"].__setitem__(0, True),
         meta("box_init", [huge, 0.6, 0.0]), meta("psi_left", huge)]]
     texts.append(edited(lambda rec: rec.update(dt="DIGITS")).replace(
         '"DIGITS"', "1" + "0" * 5000))
@@ -192,7 +195,7 @@ def test_write_records_is_atomic(tmp_path):
 def test_record_round_trip_structure(clean_episode):
     rec = episode_to_record(clean_episode)
     back = episode_from_record(json.loads(json.dumps(rec)))
-    assert np.array_equal(back.actions(), clean_episode.actions())
+    assert np.array_equal(back.act, clean_episode.act)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -202,12 +205,13 @@ unit = st.floats(0.0, 1.0)
 @st.composite
 def episodes(draw):
     n = draw(st.integers(1, 6))
-    steps = [Step(t, draw(st.lists(finite, min_size=14, max_size=14))
-                  + draw(st.lists(unit, min_size=2, max_size=2)),
-                  draw(st.lists(finite, min_size=14, max_size=14))
-                  + draw(st.lists(unit, min_size=2, max_size=2)),
-                  draw(st.sampled_from(PHASES)), draw(st.booleans()))
-             for t in range(n)]
+    def command():
+        return (draw(st.lists(finite, min_size=14, max_size=14))
+                + draw(st.lists(unit, min_size=2, max_size=2)))
+
+    knots = [(command(), command(), draw(st.sampled_from(PHASES)),
+              draw(st.booleans())) for t in range(n)]
+    obs, act, phases, locks = (list(column) for column in zip(*knots))
     events = draw(st.lists(st.builds(
         Event, st.integers(0, n - 1), st.sampled_from(EVENT_KINDS),
         st.sampled_from(["left", "right", None])), max_size=4))
@@ -218,7 +222,8 @@ def episodes(draw):
                 "branch": draw(st.lists(st.booleans(), min_size=3,
                                         max_size=3))}
     return Episode(draw(st.text(max_size=8)),
-                   draw(st.floats(1e-300, 1e300)), steps, events, metadata)
+                   draw(st.floats(1e-300, 1e300)), np.array(obs),
+                   np.array(act), phases, locks, events, metadata)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

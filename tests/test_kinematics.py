@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bilock import geometry as geo
 from bilock import kinematics as kin
@@ -178,6 +180,37 @@ def test_ik_round_trip(model):
             q2 = kin.inverse_kinematics(arm, pose, psi, kin.branch_of(q),
                                         enforce_limits=False)
             assert np.abs(q2 - q).max() <= 1e-9
+
+
+# 0 or +-10^u, u in [-13, -3]: a middle ZYZ angle near its singularity
+near_zero = st.one_of(st.just(0.0), st.builds(
+    lambda sign, u: sign * 10.0 ** u, st.sampled_from([-1.0, 1.0]),
+    st.floats(-13.0, -3.0)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(side=st.sampled_from(["left", "right"]),
+       u=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
+       q2=st.none() | near_zero, q6=st.none() | near_zero)
+def test_ik_round_trip_near_shoulder_and_wrist_singularities(model, side, u,
+                                                             q2, q6):
+    """Criterion 6's FK -> IK -> FK round trip, at its bounds, with the
+    shoulder (q2) and/or wrist (q6) angle at or near zero."""
+    arm = model.arm(side)
+    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
+    q = lo + np.array(u) * (hi - lo)
+    for i, v in ((1, q2), (5, q6)):
+        if v is not None:
+            q[i] = v
+    assume(abs(q[3]) >= 1e-4)
+    pose = kin.forward_kinematics(arm, q)
+    psi = kin.sew_angle(arm, q)
+    q_ik = kin.inverse_kinematics(arm, pose, psi, kin.branch_of(q),
+                                  enforce_limits=False)
+    achieved = kin.forward_kinematics(arm, q_ik)
+    assert np.linalg.norm(achieved.translation - pose.translation) <= 1e-10
+    assert geodesic_distance(achieved.rotation, pose.rotation) <= 1e-10
+    assert abs(kin.wrap_angle(kin.sew_angle(arm, q_ik) - psi)) <= 1e-9
 
 
 def test_ik_unreachable(model):

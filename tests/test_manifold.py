@@ -91,7 +91,7 @@ def test_constraint_zero_along_locked_self_motion(model, world_cfg):
     q_r = kin.inverse_kinematics(model.right, gr, world_cfg.psi_right)
     q0 = np.concatenate([q_l, q_r])
     f = mf.make_constraint(model, q0)
-    lock = bm.engage_lock(model, bm.BimanualState(q_l, q_r, 1.0, 1.0))
+    lock = bm.engage_lock(model, np.concatenate([q_l, q_r]))
     for psi in (-0.4, -0.1, 0.2, 0.5):
         q_new, held = bm.subordinate_command(model, lock, gr, psi, prev_sub=q_l)
         assert not held
@@ -297,9 +297,7 @@ def test_rollout_series_constant_configuration(model, clean_episode):
     import copy
     ep = copy.deepcopy(clean_episode)
     tr = ep.transport_indices()
-    frozen = ep.steps[tr[0]].act.copy()
-    for i in tr:
-        ep.steps[i].act = frozen.copy()
+    ep.act[tr] = ep.act[tr[0]]
     f = mf.constraint_for_episode(model, ep)
     records, gaps = mf.rollout_curvature_series(f, ep)
     ks = [r["kretschmann"] for r in records]
@@ -308,9 +306,9 @@ def test_rollout_series_constant_configuration(model, clean_episode):
 
 def test_rollout_requires_transport(model, clean_episode):
     from bilock.episodes import Episode
-    ep = Episode("m", 0.1,
-                 [s for s in clean_episode.steps if s.phase == "approach"],
-                 [], {})
+    keep = [t for t, p in enumerate(clean_episode.phases) if p == "approach"]
+    ep = Episode("m", 0.1, clean_episode.obs[keep], clean_episode.act[keep],
+                 ["approach"] * len(keep), [False] * len(keep), [], {})
     f = mf.make_constraint(model, np.zeros(14) + 0.3)
     with pytest.raises(NoTransportPhase):
         mf.rollout_curvature_series(f, ep)

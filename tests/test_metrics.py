@@ -6,7 +6,7 @@ from bilock import kinematics as kin
 from bilock import metrics as mx
 from bilock import perturb as pb
 from bilock import worldsim as ws
-from bilock.episodes import Episode, Event, Step
+from bilock.episodes import JOINTS, Episode, Event
 from bilock.errors import (EmptyDataset, InvalidCounts, MissingEventLog,
                            NoTransportPhase)
 from bilock.geometry import Pose, Rotation
@@ -41,9 +41,9 @@ def test_constant_offset_mid_window(model, world_cfg, clean_episode):
     start = len(tr) // 2
     psi = ep.metadata["psi_left"]
     for idx in tr[start:]:
-        pose = kin.forward_kinematics(model.left, ep.steps[idx].act[:7])
+        pose = kin.forward_kinematics(model.left, ep.act[idx, JOINTS["left"]])
         moved = Pose(pose.rotation, pose.translation + [0.003, 0.0, 0.0])
-        ep.steps[idx].act[:7] = kin.inverse_kinematics(
+        ep.act[idx, JOINTS["left"]] = kin.inverse_kinematics(
             model.left, moved, psi, enforce_limits=False)
     pos, rot = mx.violation_profile(model, ep, window=16, stride=8)
     # the profile concatenates windows of min(16, n - knot0) knots
@@ -64,9 +64,10 @@ def test_constant_offset_mid_window(model, world_cfg, clean_episode):
 
 
 def test_profile_requires_transport(model, clean_episode):
-    ep = Episode(clean_episode.model_ref, 0.1,
-                 [s for s in clean_episode.steps if s.phase == "approach"],
-                 [], {})
+    keep = [t for t, p in enumerate(clean_episode.phases) if p == "approach"]
+    ep = Episode(clean_episode.model_ref, 0.1, clean_episode.obs[keep],
+                 clean_episode.act[keep], ["approach"] * len(keep),
+                 [False] * len(keep), [], {})
     with pytest.raises(NoTransportPhase):
         mx.violation_profile(model, ep)
 
@@ -89,10 +90,9 @@ def test_profile_invariant_to_rigid_world_motion(model, clean_episode):
 
 
 def _episode_with_events(kinds):
-    steps = [Step(t, np.zeros(16), np.zeros(16), "transport", True)
-             for t in range(4)]
     events = [Event(t, kind, arm) for t, (kind, arm) in enumerate(kinds)]
-    return Episode("m", 0.1, steps, events, {})
+    return Episode("m", 0.1, np.zeros((4, 16)), np.zeros((4, 16)),
+                   ["transport"] * 4, [True] * 4, events, {})
 
 
 def test_classify_outcomes():
@@ -125,7 +125,8 @@ def test_classify_is_pure_function_of_events():
 
 
 def test_missing_event_log():
-    ep = Episode("m", 0.1, [], None, {})
+    ep = Episode("m", 0.1, np.zeros((0, 16)), np.zeros((0, 16)), [], [], None,
+                 {})
     with pytest.raises(MissingEventLog):
         mx.classify_outcome(ep)
 

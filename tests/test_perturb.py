@@ -6,7 +6,7 @@ import pytest
 
 from bilock import kinematics as kin
 from bilock import perturb as pb
-from bilock.episodes import episode_to_record
+from bilock.episodes import GRIPS, JOINTS, episode_to_record
 from bilock.errors import EmptyDataset
 
 
@@ -60,8 +60,9 @@ def test_ou_variance_recursion_small_mc():
 def test_perturb_level0_bitwise(model, clean_episode):
     out = pb.perturb_episode(model, clean_episode, 0, pb.LEVEL_ETAS[0],
                              seed=9)
-    assert np.array_equal(out.actions(), clean_episode.actions())
-    assert np.array_equal(out.observations(), clean_episode.observations())
+    assert np.array_equal(out.act, clean_episode.act)
+    assert np.array_equal(out.obs, clean_episode.obs)
+    assert not np.shares_memory(out.act, clean_episode.act)
     assert out.metadata["perturbation_level"] == 0
 
 
@@ -69,18 +70,18 @@ def test_perturb_locality(model, clean_episode):
     out = pb.perturb_episode(model, clean_episode, 3, pb.LEVEL_ETAS[3],
                              seed=11)
     transport = set(clean_episode.transport_indices())
-    for i, (a, b) in enumerate(zip(clean_episode.steps, out.steps)):
-        assert np.array_equal(a.obs, b.obs)
-        assert np.array_equal(a.act[7:14], b.act[7:14])  # control arm (right)
-        assert np.array_equal(a.act[14:], b.act[14:])    # grippers
+    assert not np.shares_memory(out.act, clean_episode.act)
+    assert np.array_equal(clean_episode.obs, out.obs)
+    for i, (a, b) in enumerate(zip(clean_episode.act, out.act)):
+        assert np.array_equal(a[JOINTS["right"]], b[JOINTS["right"]])  # control
+        assert np.array_equal(a[GRIPS], b[GRIPS])
         if i not in transport:
-            assert np.array_equal(a.act, b.act)
+            assert np.array_equal(a, b)
     # first transport knot carries Z_0 = 0: unchanged
     first = clean_episode.transport_indices()[0]
-    assert np.array_equal(clean_episode.steps[first].act, out.steps[first].act)
+    assert np.array_equal(clean_episode.act[first], out.act[first])
     changed = [i for i in sorted(transport)
-               if not np.array_equal(clean_episode.steps[i].act,
-                                     out.steps[i].act)]
+               if not np.array_equal(clean_episode.act[i], out.act[i])]
     assert changed
 
 
@@ -95,7 +96,7 @@ def test_perturb_deterministic(model, clean_episode):
 
 def test_perturb_displacement_scales_with_eta(model, clean_episode):
     """Pre-IK pose displacement at every knot scales exactly with eta."""
-    sub = slice(0, 7)  # control arm is right: subordinate is left
+    sub = JOINTS["left"]  # control arm is right: subordinate is left
     out1 = pb.perturb_episode(model, clean_episode, 1, pb.LEVEL_ETAS[1],
                               seed=21)
     out3 = pb.perturb_episode(model, clean_episode, 3, pb.LEVEL_ETAS[3],
@@ -103,9 +104,9 @@ def test_perturb_displacement_scales_with_eta(model, clean_episode):
     assert out1.metadata["ik_failures"] == 0
     assert out3.metadata["ik_failures"] == 0
     for i in clean_episode.transport_indices():
-        base = kin.forward_kinematics(model.left, clean_episode.steps[i].act[sub])
-        p1 = kin.forward_kinematics(model.left, out1.steps[i].act[sub])
-        p3 = kin.forward_kinematics(model.left, out3.steps[i].act[sub])
+        base = kin.forward_kinematics(model.left, clean_episode.act[i, sub])
+        p1 = kin.forward_kinematics(model.left, out1.act[i, sub])
+        p3 = kin.forward_kinematics(model.left, out3.act[i, sub])
         d1 = np.linalg.norm(p1.translation - base.translation)
         d3 = np.linalg.norm(p3.translation - base.translation)
         if d1 > 1e-12:
@@ -149,5 +150,5 @@ def test_raw_eta_override(model, clean_episode):
     out = pb.perturb_episode(model, clean_episode, "raw", 0.0025, seed=17)
     via_level = pb.perturb_episode(model, clean_episode, 2, pb.LEVEL_ETAS[2],
                                    seed=17)
-    assert np.array_equal(out.actions(), via_level.actions())
+    assert np.array_equal(out.act, via_level.act)
     assert out.metadata["perturbation_level"] == "raw"

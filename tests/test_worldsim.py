@@ -11,8 +11,8 @@ from bilock import bimanual as bm
 from bilock import kinematics as kin
 from bilock import metrics as mx
 from bilock import worldsim as ws
-from bilock.episodes import (BOX_DROP, GRASP_ATTACH, GRASP_DETACH, PLACED,
-                             episode_to_record)
+from bilock.episodes import (BOX_DROP, GRASP_ATTACH, GRASP_DETACH, GRIP,
+                             JOINTS, PLACED, Q14, episode_to_record)
 from bilock.errors import UnreachableGrasp
 from bilock.geometry import Pose, geodesic_distance
 from bilock.seeding import rng_from
@@ -55,22 +55,23 @@ def test_clean_episode_structure(model, world_cfg, clean_episode):
     assert mx.classify_outcome(ep) == "I"
     ts = [e.t for e in ep.events]
     assert ts == sorted(ts)
-    for s in ep.steps:
-        assert s.obs.shape == (16,) and s.act.shape == (16,)
-        if s.phase == "transport":
-            assert s.lock
+    k = len(ep.phases)
+    assert ep.obs.shape == ep.act.shape == (k, 16) and len(ep.locks) == k
+    for phase, lock in zip(ep.phases, ep.locks):
+        if phase == "transport":
+            assert lock
     # unperturbed joints stay within limits
-    acts = ep.actions()
-    for sl, arm in ((slice(0, 7), model.left), (slice(7, 14), model.right)):
+    acts = ep.act
+    for sl, arm in ((JOINTS["left"], model.left), (JOINTS["right"], model.right)):
         assert np.all(acts[:, sl] >= arm.joint_limits[:, 0] - 1e-12)
         assert np.all(acts[:, sl] <= arm.joint_limits[:, 1] + 1e-12)
 
 
 def test_clean_transport_constraint(model, clean_episode):
     tr = clean_episode.transport_indices()
-    ref = bm.relative_of_q14(model, clean_episode.steps[tr[0]].act[:14])
+    ref = bm.relative_of_q14(model, clean_episode.act[tr[0], Q14])
     for i in tr:
-        x = bm.relative_of_q14(model, clean_episode.steps[i].act[:14])
+        x = bm.relative_of_q14(model, clean_episode.act[i, Q14])
         assert np.linalg.norm(x.translation - ref.translation) <= 1e-10
         assert geodesic_distance(x.rotation, ref.rotation) <= 1e-6
 
@@ -89,10 +90,9 @@ def test_generator_unreachable_box(model, world_cfg):
 
 def test_replay_reproduces_knot_states(model, world_cfg, clean_episode):
     replayed = ws.replay_episode(model, world_cfg, clean_episode)
-    assert replayed.n_steps == clean_episode.n_steps
-    assert np.abs(replayed.actions() - clean_episode.actions()).max() <= 1e-12
-    assert np.abs(replayed.observations()
-                  - clean_episode.observations()).max() <= 1e-12
+    assert len(replayed.phases) == len(clean_episode.phases)
+    assert np.abs(replayed.act - clean_episode.act).max() <= 1e-12
+    assert np.abs(replayed.obs - clean_episode.obs).max() <= 1e-12
     assert ([(e.kind, e.arm) for e in replayed.events]
             == [(e.kind, e.arm) for e in clean_episode.events])
 
@@ -103,21 +103,21 @@ class _RecordingWorld:
     def __init__(self):
         self.states = []
 
-    def step(self, model, state):
-        self.states.append(state.to_vector())
+    def step(self, model, cmd):
+        self.states.append(cmd.copy())
         return []
 
 
 def test_first_order_hold_interpolation(model):
     qa = np.full(16, 0.0)
     qb = np.full(16, 1.0)
-    qb[14] = qb[15] = 0.5
+    qb[GRIP["left"]] = qb[GRIP["right"]] = 0.5
     world = _RecordingWorld()
-    home = bm.BimanualState(np.zeros(7), np.zeros(7), 0.0, 0.0)
+    home = np.zeros(16)
     ep = ws.execute_actions(model, world, np.array([qa, qb]),
                             ["approach"] * 2, [False] * 2, initial_state=home,
                             substeps=4)
-    assert ep.n_steps == 2
+    assert len(ep.act) == 2
     # knot b follows knot a: midpoint substep is the average command
     states = np.array(world.states)
     assert np.allclose(states[3], qa, atol=0)
@@ -145,21 +145,20 @@ def test_executor_holds_each_knot(model, actions, substeps, initial):
     k = len(actions)
     ep = ws.execute_actions(model, world, actions, ["approach"] * k,
                             [False] * k, substeps=substeps,
-                            initial_state=bm.BimanualState.from_vector(initial))
+                            initial_state=initial)
     assert len(world.states) == k * substeps
     for t in range(k):
         assert np.array_equal(world.states[(t + 1) * substeps - 1], actions[t])
         prev = actions[t - 1] if t else initial
-        assert np.array_equal(ep.steps[t].obs, prev)
-        assert np.array_equal(ep.steps[t].act, actions[t])
+        assert np.array_equal(ep.obs[t], prev)
+        assert np.array_equal(ep.act[t], actions[t])
 
 
 def test_stream_exhaustion_flag(model):
     world = _RecordingWorld()
-    home = bm.BimanualState(np.zeros(7), np.zeros(7), 0.0, 0.0)
     ep = ws.execute_actions(model, world, np.zeros((3, 16)), ["approach"] * 3,
-                            [False] * 3, initial_state=home)
-    assert ep.n_steps == 3
+                            [False] * 3, initial_state=np.zeros(16))
+    assert len(ep.act) == 3
     assert ep.metadata["stream_exhausted"]
 
 
@@ -171,11 +170,10 @@ def _displace_left(model, episode, indices, offset):
     out = episode_from_record(out)
     psi = episode.metadata["psi_left"]
     for idx in indices:
-        act = out.steps[idx].act
-        pose = kin.forward_kinematics(model.left, act[:7])
+        pose = kin.forward_kinematics(model.left, out.act[idx, JOINTS["left"]])
         moved = Pose(pose.rotation, pose.translation + offset)
-        act[:7] = kin.inverse_kinematics(model.left, moved, psi,
-                                         enforce_limits=False)
+        out.act[idx, JOINTS["left"]] = kin.inverse_kinematics(
+            model.left, moved, psi, enforce_limits=False)
     return out
 
 
@@ -208,13 +206,12 @@ def test_large_displacement_drops_box(model, world_cfg, clean_episode):
 
 def test_never_closing_grippers_produces_no_events(model, world_cfg,
                                                    clean_episode):
-    acts = clean_episode.actions()
-    acts[:, 14] = 0.0
-    acts[:, 15] = 0.0
+    acts = clean_episode.act.copy()
+    acts[:, GRIP["left"]] = 0.0
+    acts[:, GRIP["right"]] = 0.0
     world = ws.TaskWorld(world_cfg, clean_episode.metadata["box_init"])
-    ep = ws.execute_actions(model, world, acts,
-                            [s.phase for s in clean_episode.steps],
-                            [s.lock for s in clean_episode.steps],
+    ep = ws.execute_actions(model, world, acts, clean_episode.phases,
+                            clean_episode.locks,
                             initial_state=ws.home_state(model, world_cfg),
                             dt=world_cfg.dt, substeps=world_cfg.substeps)
     assert ep.events == []
@@ -224,10 +221,9 @@ def test_step_world_transition_function(model, world_cfg, clean_episode):
     """One commanded state with both grippers closed on the box attaches it
     and reports both attach events, left before right."""
     world = ws.TaskWorld(world_cfg, clean_episode.metadata["box_init"])
-    grasp_knot = max(i for i, s in enumerate(clean_episode.steps)
-                     if s.phase == "grasp")  # grippers fully closed here
-    cmd = bm.BimanualState.from_vector(clean_episode.steps[grasp_knot].act)
-    events = world.step(model, cmd)
+    grasp_knot = max(i for i, p in enumerate(clean_episode.phases)
+                     if p == "grasp")  # grippers fully closed here
+    events = world.step(model, clean_episode.act[grasp_knot])
     assert [(k, a) for k, a in events] == [(GRASP_ATTACH, "left"),
                                            (GRASP_ATTACH, "right")]
     assert world.attach_state == "grasped"
