@@ -20,7 +20,7 @@ from . import geometry as geo
 from . import kinematics as kin
 from .episodes import JOINTS
 from .errors import BilockError
-from .geometry import Pose, geodesic_distance
+from .geometry import Pose, pose_error
 
 
 @dataclass
@@ -69,7 +69,7 @@ def relative_generic(model, q14):
 
 def relative_of_q14(model, q14):
     """Pose of the left gripper expressed in the right gripper frame."""
-    return Pose.from_parts(*relative_generic(model, q14))
+    return Pose(*relative_generic(model, q14))
 
 
 def engage_lock(model, q14, control_arm="right", pos_tol=1e-9, rot_tol=1e-8):
@@ -83,8 +83,7 @@ def check_preservation(model, q14, lock):
     """(pos_err, rot_err, ok) of the configuration q14 against the lock."""
     x = relative_of_q14(model, q14)
     cur = x if lock.control_arm == "right" else x.inverse()
-    pos_err = float(np.linalg.norm(cur.translation - lock.locked_rel.translation))
-    rot_err = geodesic_distance(cur.rotation, lock.locked_rel.rotation)
+    pos_err, rot_err = pose_error(cur, lock.locked_rel)
     return pos_err, rot_err, (pos_err <= lock.pos_tol and rot_err <= lock.rot_tol)
 
 
@@ -106,8 +105,7 @@ def subordinate_command(model, lock, control_pose, psi_sub,
         return prev_sub, True
     achieved = kin.forward_kinematics(sub_model, q)
     rel = control_pose.inverse() @ achieved
-    pos_err = float(np.linalg.norm(rel.translation - lock.locked_rel.translation))
-    rot_err = geodesic_distance(rel.rotation, lock.locked_rel.rotation)
+    pos_err, rot_err = pose_error(rel, lock.locked_rel)
     if pos_err > lock.pos_tol or rot_err > lock.rot_tol:
         return prev_sub, True
     return q, False

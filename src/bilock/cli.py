@@ -168,8 +168,15 @@ STAGES = {"gen": run_gen, "perturb": run_perturb, "eval": run_eval,
           "curvature": run_curvature}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors end like every other config error: one line, exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"config error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bilock",
         description="Constraint-locked bimanual demonstration synthesis, "
                     "perturbation, evaluation, and curvature analysis.")

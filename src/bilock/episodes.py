@@ -79,16 +79,27 @@ def episode_to_record(ep):
             "events": events}
 
 
+def _known_keys(obj, keys, where):
+    """A ValueError if obj has a key beyond the space-separated keys."""
+    unknown = set(obj) - set(keys.split())
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+
+
 def episode_from_record(rec):
     if rec.get("schema_version") != EPISODE_SCHEMA:
         raise SchemaMismatch(
             f"unsupported episode schema {rec.get('schema_version')!r}")
+    # metadata is free-form; an event's unknown key fails in Event(**e)
+    _known_keys(rec, "schema_version model_ref dt metadata steps events",
+                "episode record")
     if not isinstance(rec["model_ref"], str):
         raise ValueError(f"model_ref must be a string, got {rec['model_ref']!r}")
     if not (is_real(rec["dt"]) and rec["dt"] > 0.0):
         raise ValueError(f"dt must be a finite number > 0, got {rec['dt']!r}")
     steps = rec["steps"]
     for i, s in enumerate(steps):
+        _known_keys(s, "t obs act phase lock", f"step {i}")
         if not (is_int(s["t"]) and s["t"] == i):
             raise ValueError(f"step {i}: t must equal its index, got {s['t']!r}")
         if s["phase"] not in PHASES:
@@ -109,7 +120,7 @@ def episode_from_record(rec):
                       "gripper channels must lie in [0, 1]")):
         if not ok.all():
             raise ValueError(f"step {ok.all(axis=1).argmin()}: {what}")
-    events = [Event(e["t"], e["kind"], e.get("arm")) for e in rec["events"]]
+    events = [Event(**e) for e in rec["events"]]
     for e in events:
         if e.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {e.kind!r}")

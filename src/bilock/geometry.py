@@ -1,10 +1,11 @@
-"""Rigid-body math: rotations, poses, exp/log maps, geodesic distance.
+"""Rigid-body math: poses, SO(3) exp/log maps, geodesic distance, pose errors.
 
-Rotations are stored as 3x3 orthonormal matrices because the curvature
-pipeline consumes matrix derivatives.  The public ``Rotation`` / ``Pose``
-API works on numpy floats.  The ``g*`` helpers do 3x3 math on nested
-lists whose entries may be floats or the dual scalars of
-:mod:`bilock.autodiff`; the kinematic chain is built from them.
+A rotation is a 3x3 orthonormal matrix because the curvature pipeline
+consumes matrix derivatives.  ``Pose`` holds a read-only float rotation
+array and translation; ``pose_error`` is the one translation-distance /
+geodesic-angle pair every pose comparison uses.  The ``g*`` helpers do
+3x3 math on nested lists whose entries may be floats or the dual scalars
+of :mod:`bilock.autodiff`; the kinematic chain is built from them.
 ``so3_log`` is generic in the same way, so the pose interpolation of the
 world scripts and the differentiable constraint residual share one SO(3)
 log.
@@ -108,141 +109,60 @@ def rotation_angle(r):
     return math.atan2(math.sqrt(float(a @ a)), c)
 
 
-class Rotation:
-    """Element of SO(3), stored as a 3x3 orthonormal matrix."""
-
-    __slots__ = ("mat",)
-
-    _ORTHO_TOL = 1e-12
-
-    def __init__(self, mat, *, _validated=False):
-        mat = np.array(mat, dtype=float)
-        if not _validated:
-            err = np.linalg.norm(mat.T @ mat - np.eye(3))
-            if err > 100 * self._ORTHO_TOL:
-                raise ValueError(f"matrix not orthonormal (|R^T R - I| = {err:.2e})")
-            if abs(np.linalg.det(mat) - 1.0) > 1e-9:
-                raise ValueError("matrix determinant is not +1")
-        mat.setflags(write=False)
-        self.mat = mat
-
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3), _validated=True)
-
-    @classmethod
-    def from_axis_angle(cls, w):
-        return cls(so3_exp(w), _validated=True)
-
-    @classmethod
-    def from_quaternion(cls, q):
-        """Rotation from a (w, x, y, z) quaternion; normalized on input."""
-        q = np.asarray(q, dtype=float)
-        n = np.linalg.norm(q)
-        if n < 1e-9:
-            raise ValueError("quaternion norm below normalization tolerance")
-        w, x, y, z = q / n
-        mat = np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
-        return cls(mat, _validated=True)
-
-    def __matmul__(self, other):
-        if isinstance(other, Rotation):
-            return Rotation(self.mat @ other.mat, _validated=True)
-        return self.mat @ np.asarray(other, dtype=float)
-
-    def inverse(self):
-        return Rotation(self.mat.T.copy(), _validated=True)
-
-    def apply(self, v):
-        return self.mat @ np.asarray(v, dtype=float)
-
-    def log(self):
-        """Rotation vector; raises RotationNearPi within 1e-6 of pi."""
-        return so3_log(self.mat)
-
-    def angle(self):
-        return rotation_angle(self.mat)
-
-    def allclose(self, other, tol=1e-12):
-        return bool(np.linalg.norm(self.mat - other.mat) <= tol)
-
-    def __repr__(self):
-        return f"Rotation({self.mat.tolist()})"
-
-
 def random_rotation(rng):
-    """Uniform random rotation (quaternion method)."""
+    """Uniform random rotation matrix (quaternion method)."""
     q = rng.normal(size=4)
-    return Rotation.from_quaternion(q / np.linalg.norm(q))
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
 
 
 def geodesic_distance(r1, r2):
     """SO(3) geodesic distance: the rotation angle of r1^T r2, in [0, pi]."""
-    m1 = r1.mat if isinstance(r1, Rotation) else np.asarray(r1, dtype=float)
-    m2 = r2.mat if isinstance(r2, Rotation) else np.asarray(r2, dtype=float)
-    return rotation_angle(m1.T @ m2)
+    return rotation_angle(np.asarray(r1, dtype=float).T
+                          @ np.asarray(r2, dtype=float))
 
 
 class Pose:
-    """Rigid transform: rotation plus translation in meters."""
+    """Rigid transform: a read-only 3x3 rotation matrix and a read-only
+    translation in meters."""
 
     __slots__ = ("rotation", "translation")
 
     def __init__(self, rotation, translation):
-        if not isinstance(rotation, Rotation):
-            rotation = Rotation(rotation)
+        rotation = np.array(rotation, dtype=float).reshape(3, 3)
         translation = np.array(translation, dtype=float).reshape(3)
+        rotation.setflags(write=False)
         translation.setflags(write=False)
         self.rotation = rotation
         self.translation = translation
 
     @classmethod
     def identity(cls):
-        return cls(Rotation.identity(), np.zeros(3))
-
-    @classmethod
-    def from_parts(cls, mat, t):
-        return cls(Rotation(mat, _validated=True), t)
+        return cls(np.eye(3), np.zeros(3))
 
     def __matmul__(self, other):
         if isinstance(other, Pose):
             return Pose(self.rotation @ other.rotation,
-                        self.rotation.apply(other.translation) + self.translation)
-        return self.rotation.apply(other) + self.translation
+                        self.rotation @ other.translation + self.translation)
+        return self.rotation @ np.asarray(other, dtype=float) + self.translation
 
     def inverse(self):
-        rinv = self.rotation.inverse()
-        return Pose(rinv, -rinv.apply(self.translation))
-
-    def apply(self, p):
-        return self.rotation.apply(p) + self.translation
-
-    def allclose(self, other, pos_tol=1e-12, rot_tol=1e-12):
-        return (bool(np.linalg.norm(self.translation - other.translation) <= pos_tol)
-                and geodesic_distance(self.rotation, other.rotation) <= rot_tol)
+        rinv = self.rotation.T.copy()
+        return Pose(rinv, -(rinv @ self.translation))
 
     def __repr__(self):
-        return (f"Pose(R={self.rotation.mat.tolist()}, "
+        return (f"Pose(R={self.rotation.tolist()}, "
                 f"t={self.translation.tolist()})")
 
 
-def pose_log(p):
-    """6-vector [translation; rotation vector] of a pose.
-
-    The two blocks are decoupled: this is the chart used by the constraint
-    residual, not an SE(3) screw log.
-    """
-    return np.concatenate([p.translation, p.rotation.log()])
-
-
-def pose_exp(xi):
-    """Inverse of pose_log on 6-vectors."""
-    xi = np.asarray(xi, dtype=float)
-    return Pose(Rotation.from_axis_angle(xi[3:]), xi[:3])
+def pose_error(a, b):
+    """(translation distance, geodesic angle) between two poses."""
+    return (float(np.linalg.norm(a.translation - b.translation)),
+            geodesic_distance(a.rotation, b.rotation))
 
 
 # --- scalar-generic 3x3 math on nested lists (floats or dual scalars) ---

@@ -34,7 +34,7 @@ from . import geometry as geo
 from .episodes import real_array
 from .errors import (DegenerateSEW, ElbowSingular, JointLimitViolation,
                      Unreachable)
-from .geometry import Pose, Rotation
+from .geometry import Pose
 
 
 def wrap_angle(x):
@@ -84,7 +84,7 @@ class ArmModel:
         if len(self.joint_offsets) != 8:
             raise ValueError("expected 8 joint offsets (7 joints + flange)")
         for i, p in enumerate(self.joint_offsets):
-            if geo.rotation_angle(p.rotation.mat) > 1e-12:
+            if geo.rotation_angle(p.rotation) > 1e-12:
                 raise ValueError(f"joint offset {i} carries a rotation; "
                                  "only translational offsets are supported")
         norms = np.linalg.norm(self.joint_axes, axis=1)
@@ -133,7 +133,7 @@ class ArmModel:
     def _generic(self):
         """Python-native copies of the chain constants (offsets are pure
         translations, checked above)."""
-        base_r = [[float(v) for v in row] for row in self.base_pose.rotation.mat]
+        base_r = [[float(v) for v in row] for row in self.base_pose.rotation]
         base_t = [float(v) for v in self.base_pose.translation]
         offs = [[float(v) for v in p.translation] for p in self.joint_offsets]
         axes = [tuple(float(v) for v in a) for a in self.joint_axes]
@@ -174,7 +174,7 @@ def forward_kinematics_generic(model, q):
 
 def forward_kinematics(model, q):
     """World-frame flange pose for joint configuration q (radians)."""
-    return Pose.from_parts(*joint_frames(model, q)[7])
+    return Pose(*joint_frames(model, q)[7])
 
 
 def geometric_jacobian(model, q):
@@ -285,7 +285,7 @@ def inverse_kinematics(model, target, psi, branch=IkBranch(),
     """
     s, a, b, d7 = model.srs
     tgt = model.base_pose.inverse() @ target
-    rt = tgt.rotation.mat
+    rt = tgt.rotation
     wrist = tgt.translation - d7 * rt[:, 2]
     sw = wrist - s
     dist = float(np.linalg.norm(sw))
@@ -327,9 +327,8 @@ def inverse_kinematics(model, target, psi, branch=IkBranch(),
 def _pose_from_config(node):
     rpy = np.deg2rad(real_array(node.get("rpy_deg", [0.0, 0.0, 0.0]), (3,),
                                 "rpy_deg"))
-    rot = (Rotation.from_axis_angle([0.0, 0.0, rpy[2]])
-           @ Rotation.from_axis_angle([0.0, rpy[1], 0.0])
-           @ Rotation.from_axis_angle([rpy[0], 0.0, 0.0]))
+    rot = (geo.so3_exp([0.0, 0.0, rpy[2]]) @ geo.so3_exp([0.0, rpy[1], 0.0])
+           @ geo.so3_exp([rpy[0], 0.0, 0.0]))
     return Pose(rot, real_array(node.get("xyz", [0.0, 0.0, 0.0]), (3,), "xyz"))
 
 

@@ -18,7 +18,7 @@ from . import bimanual as bm
 from .episodes import BOX_DROP, GRASP_ATTACH, GRASP_DETACH, PLACED, Q14
 from .errors import (EmptyDataset, InvalidCounts, MissingEventLog,
                      NoTransportPhase)
-from .geometry import geodesic_distance
+from .geometry import pose_error
 
 CATEGORIES = ("I", "II", "III", "IV")
 
@@ -36,14 +36,10 @@ def violation_profile(model, episode, window=16, stride=None):
     if not transport:
         raise NoTransportPhase("episode has no transport-phase knots")
     rels = [bm.relative_of_q14(model, q) for q in episode.act[transport, Q14]]
-    pos = []
-    rot = []
-    for start in range(0, len(transport), stride):
-        ref = rels[start]
-        for x in rels[start:start + window]:
-            pos.append(np.linalg.norm(x.translation - ref.translation))
-            rot.append(geodesic_distance(x.rotation, ref.rotation))
-    return np.array(pos), np.array(rot)
+    errs = [pose_error(x, rels[start])
+            for start in range(0, len(transport), stride)
+            for x in rels[start:start + window]]
+    return np.array([p for p, _ in errs]), np.array([r for _, r in errs])
 
 
 def classify_outcome(episode):

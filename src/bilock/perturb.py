@@ -73,8 +73,8 @@ def ou_variance(eta, k):
 
 def _perturbed_pose(pose, z):
     """Right-multiplied local-frame offset: hand-tremor-like error."""
-    rot = pose.rotation.mat @ so3_exp(z[3:])
-    return Pose.from_parts(rot, pose.translation + pose.rotation.mat @ z[:3])
+    rot = pose.rotation @ so3_exp(z[3:])
+    return Pose(rot, pose.translation + pose.rotation @ z[:3])
 
 
 def perturb_episode(model, episode, level, eta, seed):

@@ -32,7 +32,7 @@ from .episodes import (BOX_DROP, CMD_DIM, GRASP_ATTACH, GRASP_DETACH, GRIP,
                        JOINTS, PLACED, Q14, Episode, Event, is_int, is_real,
                        real_array)
 from .errors import BilockError, PathInfeasible, UnreachableGrasp
-from .geometry import Pose, Rotation, geodesic_distance, so3_exp, so3_log
+from .geometry import Pose, pose_error, so3_exp, so3_log
 from .seeding import rng_from
 
 
@@ -146,7 +146,10 @@ def world_config_from_dict(cfg):
                 raise ValueError(f"world config: give {name} in degrees, "
                                  f"as {name}_deg")
             if f"{name}_deg" in values:
-                values[name] = math.radians(values.pop(f"{name}_deg"))
+                deg = values.pop(f"{name}_deg")
+                if not is_real(deg):
+                    raise ValueError(f"{name}_deg {deg!r} is not a finite number")
+                values[name] = math.radians(deg)
         return WorldConfig(**values)
     except (TypeError, OverflowError) as exc:  # a missing, unknown or bad key
         raise ValueError(f"world config: {exc}") from exc
@@ -169,16 +172,15 @@ def grasp_targets(cfg, box_pose):
     """Nominal (left, right) gripper poses for a box pose."""
     half = cfg.box_dims[0] / 2.0
     pitch = so3_exp([0.0, cfg.grasp_pitch, 0.0])
-    rb = box_pose.rotation.mat
-    left = Pose.from_parts(rb @ _M_LEFT @ pitch, box_pose @ [-half, 0.0, 0.0])
-    right = Pose.from_parts(rb @ _M_RIGHT @ pitch, box_pose @ [half, 0.0, 0.0])
+    rb = box_pose.rotation
+    left = Pose(rb @ _M_LEFT @ pitch, box_pose @ [-half, 0.0, 0.0])
+    right = Pose(rb @ _M_RIGHT @ pitch, box_pose @ [half, 0.0, 0.0])
     return left, right
 
 
 def box_pose_from_init(cfg, init):
     x, y, theta = init
-    return Pose(Rotation.from_axis_angle([0.0, 0.0, theta]),
-                [x, y, cfg.box_dims[2] / 2.0])
+    return Pose(so3_exp([0.0, 0.0, theta]), [x, y, cfg.box_dims[2] / 2.0])
 
 
 # --- world state and transition rules ---
@@ -245,9 +247,7 @@ class TaskWorld:
             if not (self.attached[side] or self.slipped[side]):
                 continue
             nominal = self.box_pose @ self.grasp_rel[side].inverse()
-            errs[side] = (
-                float(np.linalg.norm(poses[side].translation - nominal.translation)),
-                geodesic_distance(poses[side].rotation, nominal.rotation))
+            errs[side] = pose_error(poses[side], nominal)
         drop_pos = self.cfg.drop_factor * self.cfg.retain_pos
         drop_rot = self.cfg.drop_factor * self.cfg.retain_rot
         if any(p > drop_pos or r > drop_rot for p, r in errs.values()):
@@ -278,8 +278,7 @@ class TaskWorld:
         poses = {side: kin.forward_kinematics(model.arm(side), cmd[joints])
                  for side, joints in JOINTS.items()}
         for pose, nominal in ((poses["left"], nominal_l), (poses["right"], nominal_r)):
-            dp = np.linalg.norm(pose.translation - nominal.translation)
-            dr = geodesic_distance(pose.rotation, nominal.rotation)
+            dp, dr = pose_error(pose, nominal)
             if dp > self.cfg.grasp_eps_pos or dr > self.cfg.grasp_eps_rot:
                 return []
         self.attach_state = "grasped"
@@ -325,10 +324,9 @@ def execute_actions(model, world, actions, phases, locks, *, initial_state,
 # --- scripted demonstration generation ---
 
 def _pose_interp(p0, p1, alpha):
-    w = so3_log(p0.rotation.mat.T @ p1.rotation.mat)
-    rot = p0.rotation.mat @ so3_exp(alpha * w)
-    return Pose.from_parts(rot, (1.0 - alpha) * p0.translation
-                           + alpha * p1.translation)
+    w = so3_log(p0.rotation.T @ p1.rotation)
+    rot = p0.rotation @ so3_exp(alpha * w)
+    return Pose(rot, (1.0 - alpha) * p0.translation + alpha * p1.translation)
 
 
 def _lifted(pose, dz):
@@ -362,7 +360,7 @@ def _build_script(cfg, init, rng):
     """Per-knot target poses, grips, phases for one demonstration."""
     box0 = box_pose_from_init(cfg, init)
     grasp_l, grasp_r = grasp_targets(cfg, box0)
-    shelf_box = Pose(Rotation.identity(), cfg.shelf_center)
+    shelf_box = Pose(np.eye(3), cfg.shelf_center)
     place_l, place_r = grasp_targets(cfg, shelf_box)
 
     home_l, home_r = _home_poses(cfg)

@@ -52,12 +52,12 @@ def fk_oracle(arm, q):
     """Independent straight-line homogeneous-matrix chain: the 4x4 world
     transform of the flange."""
     t = np.eye(4)
-    t[:3, :3] = arm.base_pose.rotation.mat
+    t[:3, :3] = arm.base_pose.rotation
     t[:3, 3] = arm.base_pose.translation
     for i in range(7):
         off = np.eye(4)
         off[:3, 3] = arm.joint_offsets[i].translation
-        off[:3, :3] = arm.joint_offsets[i].rotation.mat
+        off[:3, :3] = arm.joint_offsets[i].rotation
         rot = np.eye(4)
         rot[:3, :3] = geo.so3_exp(arm.joint_axes[i] * q[i])
         t = t @ off @ rot

@@ -4,19 +4,19 @@ import pytest
 from bilock import bimanual as bm
 from bilock import kinematics as kin
 from bilock.episodes import JOINTS
-from bilock.geometry import Pose, Rotation, geodesic_distance
+from bilock.geometry import Pose, geodesic_distance, so3_exp
 
 from conftest import random_q14
 
 
 def test_relative_transform_identity_for_coincident_flanges(model):
     """Both grippers solved to the same world pose: relative = identity."""
-    pose = Pose(Rotation.from_axis_angle([0.0, 0.0, 0.3]), [0.0, 0.62, 0.35])
+    pose = Pose(so3_exp([0.0, 0.0, 0.3]), [0.0, 0.62, 0.35])
     q_l = kin.inverse_kinematics(model.left, pose, -0.3, enforce_limits=False)
     q_r = kin.inverse_kinematics(model.right, pose, 0.3, enforce_limits=False)
     x = bm.relative_of_q14(model, np.concatenate([q_l, q_r]))
     assert np.linalg.norm(x.translation) <= 1e-10
-    assert geodesic_distance(x.rotation, Rotation.identity()) <= 1e-10
+    assert geodesic_distance(x.rotation, np.eye(3)) <= 1e-10
 
 
 def test_relative_transform_invariant_to_common_base_shift(model, world_cfg):
@@ -69,7 +69,7 @@ def test_engage_left_right_are_inverses(model):
     lock_l = bm.engage_lock(model, q, "left")
     prod = lock_r.locked_rel @ lock_l.locked_rel
     assert np.linalg.norm(prod.translation) <= 1e-12
-    assert geodesic_distance(prod.rotation, Rotation.identity()) <= 1e-12
+    assert geodesic_distance(prod.rotation, np.eye(3)) <= 1e-12
 
 
 def test_check_preservation_constructed_errors(model):
@@ -92,8 +92,7 @@ def test_check_preservation_constructed_errors(model):
     assert not ok
 
     # rotate the subordinate flange about its own axis by 0.01 rad
-    turned = Pose(Rotation(left_pose.rotation.mat
-                           @ kin.geo.so3_exp([0.0, 0.0, 0.01])),
+    turned = Pose(left_pose.rotation @ so3_exp([0.0, 0.0, 0.01]),
                   left_pose.translation)
     q_l = kin.inverse_kinematics(model.left, turned, psi,
                                  kin.branch_of(q_left),

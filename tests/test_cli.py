@@ -88,6 +88,9 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
                 "short_box_dims": dict(world, box_dims=[0.1]),
                 "short_shelf_center": dict(world, shelf_center=[0.0, 0.62]),
                 "zero_lock_tol": dict(world, lock_pos_tol=0)}
+    # degree values that are booleans, not numbers
+    for key in ("grasp_pitch_deg", "grasp_eps_rot_deg", "retain_rot_deg"):
+        bad_docs[f"bool_{key}"] = dict(world, **{key: True})
     for name, doc in bad_docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(
             {k: v for k, v in doc.items() if v is not None}))
@@ -144,7 +147,9 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
              ["gen", "--arm-model-left", str(array)]]
     cases += [["gen", "--world", str(tmp_path / f"{name}.json")] for name in
               ("text_knots", "text_drop_factor", "text_jitter",
-               "short_box_dims", "short_shelf_center", "zero_lock_tol")]
+               "short_box_dims", "short_shelf_center", "zero_lock_tol",
+               "bool_grasp_pitch_deg", "bool_grasp_eps_rot_deg",
+               "bool_retain_rot_deg")]
     # arm documents: a name that is no string, joint limits that are no 7 x 2
     # array, integers too large for a float, an overflowing base rotation, a
     # zero or vanishing SEW pole and a NaN joint limit
@@ -210,6 +215,26 @@ def test_flags_belong_to_the_stages_that_read_them(clean_run, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(args + ["--out-dir", str(tmp_path / "o")])
         assert exc.value.code == cli.EXIT_CONFIG, args
+
+
+def test_argument_errors_are_one_line_config_errors(clean_run, tmp_path,
+                                                  capsys):
+    """A misplaced, unknown or missing flag and a bad choice end like every
+    other config error: exit 2 and one stderr line.  -h still prints help."""
+    data = str(clean_run / "episodes.jsonl")
+    for args in (["eval", "--in", data, "--seed", "99"],
+                 ["gen", "--window", "3"], ["gen", "--bogus", "1"],
+                 ["perturb"], ["perturb", "--in", data, "--level", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            run(args + ["--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert exc.value.code == cli.EXIT_CONFIG, args
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+    for args in (["-h"], ["gen", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 def test_failed_stage_leaves_no_partial_output(clean_run, tmp_path, capsys):

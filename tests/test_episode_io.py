@@ -135,7 +135,8 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
     # records that passed every stage, or ended in a traceback: step times
     # that are not their indices, an unknown event kind or arm, integers
     # too large for a float, a command channel given as text or a boolean,
-    # and an integer beyond the JSON reader's digit limit
+    # an unknown key in the record, a step or an event, and an integer
+    # beyond the JSON reader's digit limit
     def steps_t(times):
         return lambda rec: [s.update(t=times(i))
                             for i, s in enumerate(rec["steps"])]
@@ -155,7 +156,9 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
         lambda rec: rec["steps"][3]["act"].__setitem__(2, huge),
         lambda rec: rec["steps"][3]["act"].__setitem__(2, "0.5"),
         lambda rec: rec["steps"][3]["obs"].__setitem__(0, True),
-        meta("box_init", [huge, 0.6, 0.0]), meta("psi_left", huge)]]
+        meta("box_init", [huge, 0.6, 0.0]), meta("psi_left", huge),
+        lambda rec: rec.update(bogus=1), step("bogus", 1),
+        lambda rec: rec["events"][0].update(bogus=1)]]
     texts.append(edited(lambda rec: rec.update(dt="DIGITS")).replace(
         '"DIGITS"', "1" + "0" * 5000))
     for text in texts:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bilock import geometry as geo
 from bilock import kinematics as kin
 from bilock.errors import (DegenerateSEW, JointLimitViolation, Unreachable)
-from bilock.geometry import Pose, Rotation, geodesic_distance
+from bilock.geometry import Pose, geodesic_distance, so3_exp
 
 from conftest import fk_oracle, random_joint_config
 
@@ -23,7 +23,7 @@ def zero_offset_arm(base=Pose.identity()):
 
 
 def test_fk_zero_offsets_is_base_pose():
-    base = Pose(Rotation.from_axis_angle([0.1, 0.2, 0.3]), [1.0, -2.0, 0.5])
+    base = Pose(so3_exp([0.1, 0.2, 0.3]), [1.0, -2.0, 0.5])
     arm = zero_offset_arm(base)
     pose = kin.forward_kinematics(arm, np.zeros(7))
     assert np.allclose(pose.translation, base.translation, atol=1e-15)
@@ -36,7 +36,7 @@ def test_fk_single_joint_rotation():
     q = np.zeros(7)
     q[0] = theta
     pose = kin.forward_kinematics(arm, q)
-    want = Rotation.from_axis_angle([0.0, 0.0, theta])
+    want = so3_exp([0.0, 0.0, theta])
     assert geodesic_distance(pose.rotation, want) <= 1e-14
 
 
@@ -50,7 +50,7 @@ def test_fk_matches_independent_oracle(model):
             t = fk_oracle(arm, q)
             pose = kin.forward_kinematics(arm, q)
             r, p = kin.forward_kinematics_generic(arm, q.astype(object))
-            for rot, trans in ((pose.rotation.mat, pose.translation),
+            for rot, trans in ((pose.rotation, pose.translation),
                                (np.array(r, dtype=float), np.array(p, dtype=float))):
                 assert np.linalg.norm(trans - t[:3, 3]) <= 1e-12
                 assert geodesic_distance(rot, t[:3, :3]) <= 1e-12
@@ -64,13 +64,13 @@ def test_generic_fk_matches_float_path(model):
         r, t = kin.forward_kinematics_generic(arm, q.astype(object))
         pose = kin.forward_kinematics(arm, q)
         assert np.allclose(np.array(t, dtype=float), pose.translation, atol=1e-14)
-        assert np.allclose(np.array(r, dtype=float), pose.rotation.mat, atol=1e-14)
+        assert np.allclose(np.array(r, dtype=float), pose.rotation, atol=1e-14)
 
 
 def test_jacobian_single_joint_lever_arm():
     zero = Pose.identity()
     offsets = [zero] * 8
-    offsets[7] = Pose(Rotation.identity(), [1.0, 0.0, 0.0])
+    offsets[7] = Pose(np.eye(3), [1.0, 0.0, 0.0])
     arm = kin.ArmModel(
         name="lever", base_pose=Pose.identity(), joint_offsets=offsets,
         joint_axes=np.tile([0.0, 0.0, 1.0], (7, 1)),
@@ -101,7 +101,7 @@ def test_jacobian_matches_finite_differences(model):
             p_plus = kin.forward_kinematics(arm, q + dq)
             p_minus = kin.forward_kinematics(arm, q - dq)
             lin = (p_plus.translation - p_minus.translation) / (2 * h)
-            dr = p_plus.rotation.mat @ p_minus.rotation.mat.T
+            dr = p_plus.rotation @ p_minus.rotation.T
             ang = geo.so3_log(dr) / (2 * h)
             assert np.abs(jac[:3, i] - lin).max() <= 1e-6
             assert np.abs(jac[3:, i] - ang).max() <= 1e-6
@@ -151,10 +151,10 @@ def test_sew_joint7_invariance(model):
 def test_sew_degenerate_raises():
     zero = Pose.identity()
     offsets = [zero] * 8
-    offsets[0] = Pose(Rotation.identity(), [0.0, 0.0, 0.36])
-    offsets[3] = Pose(Rotation.identity(), [0.0, 0.0, 0.40])
-    offsets[4] = Pose(Rotation.identity(), [0.0, 0.0, 0.40])
-    offsets[7] = Pose(Rotation.identity(), [0.0, 0.0, 0.126])
+    offsets[0] = Pose(np.eye(3), [0.0, 0.0, 0.36])
+    offsets[3] = Pose(np.eye(3), [0.0, 0.0, 0.40])
+    offsets[4] = Pose(np.eye(3), [0.0, 0.0, 0.40])
+    offsets[7] = Pose(np.eye(3), [0.0, 0.0, 0.126])
     arm = kin.ArmModel(
         name="folding", base_pose=Pose.identity(), joint_offsets=offsets,
         joint_axes=np.array([[0, 0, 1], [0, 1, 0], [0, 0, 1], [0, 1, 0],

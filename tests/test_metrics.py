@@ -9,7 +9,7 @@ from bilock import worldsim as ws
 from bilock.episodes import JOINTS, Episode, Event
 from bilock.errors import (EmptyDataset, InvalidCounts, MissingEventLog,
                            NoTransportPhase)
-from bilock.geometry import Pose, Rotation
+from bilock.geometry import Pose, so3_exp
 
 
 def test_clean_profile_is_flat(model, clean_episode):
@@ -73,7 +73,7 @@ def test_profile_requires_transport(model, clean_episode):
 
 
 def test_profile_invariant_to_rigid_world_motion(model, clean_episode):
-    t = Pose(Rotation.from_axis_angle([0.0, 0.0, 0.8]), [0.5, -0.3, 0.2])
+    t = Pose(so3_exp([0.0, 0.0, 0.8]), [0.5, -0.3, 0.2])
     moved = bm.BimanualModel(
         kin.ArmModel(name="l2", base_pose=t @ model.left.base_pose,
                      joint_offsets=model.left.joint_offsets,
