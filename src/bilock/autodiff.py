@@ -68,9 +68,6 @@ class Dual2:
         inv = 1.0 / other
         return Dual2(self.val * inv, self.grad * inv, self.hess * inv)
 
-    def __rtruediv__(self, other):
-        return other * self._reciprocal()
-
     def _reciprocal(self):
         inv = 1.0 / self.val
         g = (-inv * inv) * self.grad
@@ -80,26 +77,6 @@ class Dual2:
 
     def __neg__(self):
         return Dual2(-self.val, -self.grad, -self.hess)
-
-    def __pow__(self, p):
-        return self._chain(self.val ** p,
-                           p * self.val ** (p - 1),
-                           p * (p - 1) * self.val ** (p - 2))
-
-    def __abs__(self):
-        return self if self.val >= 0.0 else -self
-
-    def __lt__(self, other):
-        return self.val < value(other)
-
-    def __le__(self, other):
-        return self.val <= value(other)
-
-    def __gt__(self, other):
-        return self.val > value(other)
-
-    def __ge__(self, other):
-        return self.val >= value(other)
 
     def _chain(self, f, df, d2f):
         """Unary chain rule: f(self) given f, f', f'' at the primal."""
@@ -200,7 +177,7 @@ class DiffConfig:
 def _call(f, x):
     try:
         return np.asarray(f(x), dtype=object if x.dtype == object else float)
-    except (EvaluationFailure, KeyboardInterrupt):
+    except (EvaluationFailure, KeyboardInterrupt, RuntimeWarning):
         raise
     except Exception as exc:
         raise EvaluationFailure(f"function raised at probe point: {exc}") from exc

@@ -8,7 +8,8 @@ seeds produce byte-identical output files; ``gen --workers`` changes only
 how fast.  A stage writes its files only once all of its computation has
 succeeded, and each file replaces its predecessor atomically.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure
+(a ``RuntimeWarning`` during a stage counts as one).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import multiprocessing
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,25 +234,27 @@ def main(argv=None):
     try:
         cfg = load_pipeline_config(args.config, overrides)
         model, world_cfg = load_models(cfg)
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        episodes = None
-        if args.command != "gen":
-            episodes = read_episodes(args.in_dataset)
-            if not episodes:
-                raise EmptyDataset("input dataset holds no episodes")
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        print(STAGES[args.command](cfg, model, world_cfg, episodes, out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            episodes = None
+            if args.command != "gen":
+                episodes = read_episodes(args.in_dataset)
+                if not episodes:
+                    raise EmptyDataset("input dataset holds no episodes")
+            out = Path(cfg.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            print(STAGES[args.command](cfg, model, world_cfg, episodes, out))
     except OSError as exc:  # a missing --in file, an out-dir that is a file
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (MalformedRecord, SchemaMismatch, EmptyDataset) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (RankDeficient, IkFailureDuringPerturb) as exc:
+    except (RankDeficient, IkFailureDuringPerturb, RuntimeWarning) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except BilockError as exc:

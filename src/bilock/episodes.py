@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MalformedRecord, SchemaMismatch
+from .schema import BOOL, TEXT, array, choice, num, seq, table
 
 EPISODE_SCHEMA = "episode_v1"
 DATASET_SCHEMA = "episode_dataset_v1"
@@ -34,6 +34,8 @@ JOINTS = {"left": slice(0, 7), "right": slice(7, 14)}
 Q14 = slice(0, 14)
 GRIP = {"left": 14, "right": 15}
 GRIPS = slice(14, 16)
+
+ANGLE = num(ge=-math.pi, le=math.pi)  # a SEW angle
 
 PHASES = ("approach", "grasp", "transport", "release", "retreat")
 
@@ -79,106 +81,42 @@ def episode_to_record(ep):
             "events": events}
 
 
-def _known_keys(obj, keys, where):
-    """A ValueError if obj has a key beyond the space-separated keys."""
-    unknown = set(obj) - set(keys.split())
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+# metadata is free-form beyond the keys the stages read, and kept as written
+_META = table({"box_init": array(3), "control_arm": choice("left", "right"),
+               "psi_left": ANGLE, "psi_right": ANGLE, "branch": seq(BOOL, 3)},
+              optional=["branch"], extra_keys=True)
+_STEP = table({"t": num(integer=True), "obs": array(CMD_DIM),
+               "act": array(CMD_DIM), "phase": choice(*PHASES), "lock": BOOL})
+_EVENT = table({"t": num(integer=True, ge=0), "kind": choice(*EVENT_KINDS),
+                "arm": choice("left", "right", None)},
+               optional=["arm"], make=Event)
+RECORD = table({"schema_version": choice(EPISODE_SCHEMA), "model_ref": TEXT,
+                "dt": num(gt=0.0), "metadata": _META, "steps": seq(_STEP),
+                "events": seq(_EVENT)})
 
 
 def episode_from_record(rec):
     if rec.get("schema_version") != EPISODE_SCHEMA:
         raise SchemaMismatch(
             f"unsupported episode schema {rec.get('schema_version')!r}")
-    # metadata is free-form; an event's unknown key fails in Event(**e)
-    _known_keys(rec, "schema_version model_ref dt metadata steps events",
-                "episode record")
-    if not isinstance(rec["model_ref"], str):
-        raise ValueError(f"model_ref must be a string, got {rec['model_ref']!r}")
-    if not (is_real(rec["dt"]) and rec["dt"] > 0.0):
-        raise ValueError(f"dt must be a finite number > 0, got {rec['dt']!r}")
-    steps = rec["steps"]
+    checked = RECORD(rec)
+    steps, events = checked["steps"], checked["events"]
     for i, s in enumerate(steps):
-        _known_keys(s, "t obs act phase lock", f"step {i}")
-        if not (is_int(s["t"]) and s["t"] == i):
+        if s["t"] != i:
             raise ValueError(f"step {i}: t must equal its index, got {s['t']!r}")
-        if s["phase"] not in PHASES:
-            raise ValueError(f"step {i}: unknown phase {s['phase']!r}")
-        if not isinstance(s["lock"], bool):
-            raise ValueError(f"step {i}: lock must be true or false, "
-                             f"got {s['lock']!r}")
-        if not all(isinstance(s[k], list) and len(s[k]) == CMD_DIM
-                   and set(map(type, s[k])) <= {float, int}
-                   for k in ("obs", "act")):
-            raise ValueError(f"step {i}: obs and act must be {CMD_DIM} numbers")
+    for e in events:
+        if e.t >= len(steps):
+            raise ValueError(f"event {e.kind!r}: t {e.t} is past the last step")
     obs, act = (np.array([s[k] for s in steps], dtype=float).reshape(
         len(steps), CMD_DIM) for k in ("obs", "act"))
     grips = np.hstack([obs[:, GRIPS], act[:, GRIPS]])
-    finite = np.isfinite(np.hstack([obs, act]))
-    for ok, what in ((finite, "obs and act must be finite"),
-                     ((grips >= 0.0) & (grips <= 1.0),
-                      "gripper channels must lie in [0, 1]")):
-        if not ok.all():
-            raise ValueError(f"step {ok.all(axis=1).argmin()}: {what}")
-    events = [Event(**e) for e in rec["events"]]
-    for e in events:
-        if e.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {e.kind!r}")
-        if e.arm not in ("left", "right", None):
-            raise ValueError(f"event {e.kind!r}: arm must be 'left', 'right' "
-                             f"or null, got {e.arm!r}")
-        if not (is_int(e.t) and 0 <= e.t < len(steps)):
-            raise ValueError(f"event {e.kind!r}: t must be a step index in "
-                             f"[0, {len(steps)}), got {e.t!r}")
-    metadata = rec.get("metadata", {})
-    _check_metadata(metadata)
-    return Episode(rec["model_ref"], rec["dt"], obs, act,
+    in_range = ((grips >= 0.0) & (grips <= 1.0)).all(axis=1)
+    if not in_range.all():
+        raise ValueError(f"step {in_range.argmin()}: gripper channels must "
+                         "lie in [0, 1]")
+    return Episode(checked["model_ref"], checked["dt"], obs, act,
                    [s["phase"] for s in steps], [s["lock"] for s in steps],
-                   events, metadata)
-
-
-def is_int(v):
-    """An integer that is not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def is_real(v):
-    """A finite real number that is not a bool; an integer too large for a
-    float does not count."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        return False
-    try:
-        return math.isfinite(float(v))
-    except OverflowError:
-        return False
-
-
-def real_array(v, shape, name):
-    """v as a float array of the given shape; a ValueError unless every
-    element is ``is_real``, checked before any conversion."""
-    a = np.array(v, dtype=object)
-    if a.shape != shape or not all(map(is_real, a.flat)):
-        raise ValueError(f"{name} must be {' x '.join(map(str, shape))} "
-                         f"finite numbers, got {v!r}")
-    return a.astype(float)
-
-
-def _check_metadata(meta):
-    """The metadata the stages read: box pose, control arm, SEW angles and
-    the IK branch (three flags; absent means the default branch)."""
-    real_array(meta.get("box_init"), (3,), "metadata box_init")
-    if meta.get("control_arm") not in ("left", "right"):
-        raise ValueError("metadata control_arm must be 'left' or 'right', "
-                         f"got {meta.get('control_arm')!r}")
-    for key in ("psi_left", "psi_right"):
-        psi = meta.get(key)
-        if not (is_real(psi) and -math.pi <= psi <= math.pi):
-            raise ValueError(f"metadata {key} must be an angle in [-pi, pi], "
-                             f"got {psi!r}")
-    branch = meta.get("branch", [False, False, False])
-    if not (isinstance(branch, list) and len(branch) == 3
-            and all(isinstance(v, bool) for v in branch)):
-        raise ValueError(f"metadata branch must be 3 booleans, got {branch!r}")
+                   events, rec["metadata"])
 
 
 def write_records(path, records):
@@ -232,10 +170,7 @@ def read_episodes(path, return_header=False):
                 continue
             try:
                 episodes.append(episode_from_record(rec))
-            except SchemaMismatch:
-                raise
-            except (AttributeError, KeyError, OverflowError, TypeError,
-                    ValueError) as exc:
+            except ValueError as exc:
                 raise MalformedRecord(str(exc), lineno) from exc
     if header is None:
         raise MalformedRecord("missing dataset header", 1)

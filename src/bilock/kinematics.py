@@ -25,16 +25,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import geometry as geo
-from .episodes import real_array
 from .errors import (DegenerateSEW, ElbowSingular, JointLimitViolation,
                      Unreachable)
 from .geometry import Pose
+from .schema import (GEOMETRY, TEXT, array, choice, document, seq, spec,
+                     table)
 
 
 def wrap_angle(x):
@@ -54,67 +55,61 @@ class IkBranch:
     wrist_flip: bool = False
 
 
+def _pose(xyz=(0.0, 0.0, 0.0), rpy_deg=(0.0, 0.0, 0.0)):
+    """A pose from a translation and roll, pitch and yaw in degrees."""
+    roll, pitch, yaw = np.deg2rad(rpy_deg)
+    return Pose(geo.so3_exp([0.0, 0.0, yaw]) @ geo.so3_exp([0.0, pitch, 0.0])
+                @ geo.so3_exp([roll, 0.0, 0.0]), xyz)
+
+
+def _unit(v, what):
+    """v scaled to unit length; its norm must be finite and >= 1e-9."""
+    v = np.asarray(v, dtype=float)
+    n = np.linalg.norm(v)
+    if not 1e-9 <= n < math.inf:
+        raise ValueError(f"{what} has norm {n:g}, outside [1e-9, inf)")
+    return v / n
+
+
 @dataclass
 class ArmModel:
-    """Kinematic description of one 7-DoF arm.
+    """One 7-DoF arm: the ``arm_model_v1`` table.  The base pose is xyz and
+    rpy_deg (each zero if absent); the eight joint offsets, frame i-1 to
+    joint i plus flange, are translations (xyz); joint axes are unit vectors
+    in the local joint frames; joint limits are (7, 2) [lo, hi] in radians;
+    the SEW pole and zero direction are in the base frame."""
 
-    joint_offsets: eight fixed poses, frame i-1 to joint i plus flange.
-    joint_axes: unit axes in the local joint frames.
-    joint_limits: (7, 2) array of [lo, hi] in radians.
-    sew_pole / sew_zero_dir: SEW reference construction, base frame.
-    """
-
-    name: str
-    base_pose: Pose
-    joint_offsets: list
-    joint_axes: np.ndarray
-    joint_limits: np.ndarray
-    structure_tag: str = "S-R-S"
-    sew_pole: np.ndarray = field(default_factory=lambda: np.array([-1.0, 0.0, 0.0]))
-    sew_zero_dir: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
+    name: str = spec(TEXT)
+    base_pose: Pose = spec(table({"xyz": GEOMETRY, "rpy_deg": array(
+        3, bound=360.0)}, optional=["xyz", "rpy_deg"], make=_pose))
+    joint_offsets: list = spec(seq(table({"xyz": GEOMETRY}, optional=["xyz"],
+                                         make=_pose), 8))
+    joint_axes: np.ndarray = spec(array(7, 3, bound=10.0))
+    joint_limits: np.ndarray = spec(array(7, 2), deg=True)
+    structure_tag: str = spec(choice("S-R-S"), "S-R-S")
+    sew_pole: np.ndarray = spec(GEOMETRY, np.array([-1.0, 0.0, 0.0]))
+    sew_zero_dir: np.ndarray = spec(GEOMETRY, np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValueError(f"name must be a string, got {self.name!r}")
-        if self.structure_tag != "S-R-S":
-            raise ValueError("only S-R-S arms are supported")
-        self.joint_axes = real_array(self.joint_axes, (7, 3), "joint_axes")
-        self.joint_limits = real_array(self.joint_limits, (7, 2),
-                                       "joint_limits")
-        if len(self.joint_offsets) != 8:
-            raise ValueError("expected 8 joint offsets (7 joints + flange)")
-        for i, p in enumerate(self.joint_offsets):
-            if geo.rotation_angle(p.rotation) > 1e-12:
-                raise ValueError(f"joint offset {i} carries a rotation; "
-                                 "only translational offsets are supported")
+        self.joint_axes = np.asarray(self.joint_axes, dtype=float)
+        self.joint_limits = np.asarray(self.joint_limits, dtype=float)
         norms = np.linalg.norm(self.joint_axes, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("joint axes must be unit norm within 1e-12")
         if np.any(self.joint_limits[:, 0] >= self.joint_limits[:, 1]):
             raise ValueError("joint limits must satisfy lo < hi")
-        pole = real_array(self.sew_pole, (3,), "sew_pole")
-        n = np.linalg.norm(pole)
-        if not 1e-9 <= n < math.inf:
-            raise ValueError("sew_pole must have a finite norm >= 1e-9")
-        self.sew_pole = pole / n
-        zd = real_array(self.sew_zero_dir, (3,), "sew_zero_dir")
-        zd = zd - (zd @ self.sew_pole) * self.sew_pole
-        n = np.linalg.norm(zd)
-        if not 1e-9 <= n < math.inf:
-            raise ValueError("sew_zero_dir parallel to sew_pole")
-        self.sew_zero_dir = zd / n
+        self.sew_pole = pole = _unit(self.sew_pole, "sew_pole")
+        zd = self.sew_zero_dir
+        self.sew_zero_dir = _unit(zd - (zd @ pole) * pole,
+                                  "sew_zero_dir off sew_pole")
 
     # --- derived S-R-S quantities ---
 
     @cached_property
     def srs(self):
-        """(S, a, b, d7): shoulder point, link lengths, flange offset.
-
-        Validates the canonical S-R-S layout required by the analytic IK;
-        forward kinematics does not need it.  With offsets 1, 2, 5 and 6
-        zero, the three joints of each spherical group share one origin, so
-        their axes meet there.
-        """
+        """(S, a, b, d7): shoulder point, link lengths, flange offset.  Checks
+        the S-R-S layout that the analytic IK (not FK) needs: with offsets 1,
+        2, 5 and 6 zero, each spherical group's three axes meet at one point."""
         offs = [np.asarray(p.translation, dtype=float) for p in self.joint_offsets]
         for i in (1, 2, 5, 6):
             if np.linalg.norm(offs[i]) > 1e-12:
@@ -122,11 +117,9 @@ class ArmModel:
         for i in (3, 4, 7):
             if np.linalg.norm(offs[i][:2]) > 1e-12 or offs[i][2] <= 0.0:
                 raise ValueError(f"offset {i} must be a positive z translation")
-        pattern = [(0, 0, 1), (0, 1, 0), (0, 0, 1), (0, 1, 0),
-                   (0, 0, 1), (0, 1, 0), (0, 0, 1)]
-        for i, want in enumerate(pattern):
-            if np.linalg.norm(self.joint_axes[i] - np.array(want, dtype=float)) > 1e-12:
-                raise ValueError("joint axes must follow the z/y/z/y/z/y/z pattern")
+        pattern = np.array([(0, 0, 1), (0, 1, 0)] * 3 + [(0, 0, 1)], dtype=float)
+        if np.linalg.norm(self.joint_axes - pattern, axis=1).max() > 1e-12:
+            raise ValueError("joint axes must follow the z/y/z/y/z/y/z pattern")
         return offs[0].copy(), float(offs[3][2]), float(offs[4][2]), float(offs[7][2])
 
     @cached_property
@@ -322,41 +315,9 @@ def inverse_kinematics(model, target, psi, branch=IkBranch(),
     return q
 
 
-# --- config IO (arm_model_v1) ---
-
-def _pose_from_config(node):
-    rpy = np.deg2rad(real_array(node.get("rpy_deg", [0.0, 0.0, 0.0]), (3,),
-                                "rpy_deg"))
-    rot = (geo.so3_exp([0.0, 0.0, rpy[2]]) @ geo.so3_exp([0.0, rpy[1], 0.0])
-           @ geo.so3_exp([rpy[0], 0.0, 0.0]))
-    return Pose(rot, real_array(node.get("xyz", [0.0, 0.0, 0.0]), (3,), "xyz"))
-
-
-def arm_model_from_dict(cfg):
-    """ArmModel from an arm_model_v1 document; the dataclass holds the
-    defaults of the optional keys."""
-    if not isinstance(cfg, dict):
-        raise ValueError("arm model must be a JSON object")
-    if cfg.get("schema_version") != "arm_model_v1":
-        raise ValueError(
-            f"unsupported arm model schema {cfg.get('schema_version')!r}")
-    values = {k: v for k, v in cfg.items() if k != "schema_version"}
-    try:
-        values["base_pose"] = _pose_from_config(values["base_pose"])
-        values["joint_offsets"] = [_pose_from_config(n)
-                                   for n in values["joint_offsets"]]
-        values["joint_limits"] = np.deg2rad(real_array(
-            values.pop("joint_limits_deg"), (7, 2), "joint_limits_deg"))
-        model = ArmModel(**values)
-        model.srs  # the analytic-IK layout checks, so a bad layout fails here
-        return model
-    except KeyError as exc:
-        raise ValueError(f"arm model lacks key {exc}") from exc
-    except (AttributeError, TypeError) as exc:  # an unknown key, a wrong type
-        raise ValueError(f"arm model: {exc}") from exc
-
-
 def load_arm_model(path):
     """Load an arm from an ``arm_model_v1`` JSON document."""
     with open(path, encoding="utf-8") as fh:
-        return arm_model_from_dict(json.load(fh))
+        model = document(ArmModel, json.load(fh), "arm_model_v1")
+    model.srs  # the analytic-IK layout checks, so a bad layout fails here
+    return model

@@ -22,17 +22,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bimanual as bm
 from . import kinematics as kin
-from .episodes import (BOX_DROP, CMD_DIM, GRASP_ATTACH, GRASP_DETACH, GRIP,
-                       JOINTS, PLACED, Q14, Episode, Event, is_int, is_real,
-                       real_array)
+from .episodes import (ANGLE, BOX_DROP, CMD_DIM, GRASP_ATTACH, GRASP_DETACH,
+                       GRIP, JOINTS, PLACED, Q14, Episode, Event)
 from .errors import BilockError, PathInfeasible, UnreachableGrasp
 from .geometry import Pose, pose_error, so3_exp, so3_log
+from .schema import GEOMETRY, choice, document, num, spec, table
 from .seeding import rng_from
 
 
@@ -47,9 +47,9 @@ class BoxInitDistribution:
     theta_range: tuple
 
     def __post_init__(self):
-        for lo, hi in (self.x_range, self.y_range, self.theta_range):
-            if not hi > lo:
-                raise ValueError("degenerate sampling range")
+        for name, (lo, hi) in vars(self).items():
+            if not lo < hi:
+                raise ValueError(f"{name} needs lo < hi, got {[lo, hi]}")
 
 
 TRAIN_DIST = BoxInitDistribution((-0.2, 0.2), (0.55, 0.65),
@@ -75,89 +75,49 @@ SEGMENTS = ("approach", "descend", "grasp", "lift", "lateral", "insert",
             "release", "retreat")
 
 
+# offsets of a few metres (the arms reach 0.82 m); counts that keep an episode
+# to seconds
+OFFSET = num(ge=-2.0, le=2.0)
+KNOTS = num(ge=1, le=100)
+POSITIVE = num(gt=0.0)
+
+
 @dataclass
 class WorldConfig:
-    box_dims: np.ndarray
-    grasp_pitch: float
-    shelf_center: np.ndarray
-    shelf_region_half: np.ndarray
-    approach_clearance: float = 0.10
-    lift_height: float = 0.15
-    shelf_pre_offset: float = 0.05
-    retreat_back: float = 0.10
-    retreat_up: float = 0.06
-    grasp_eps_pos: float = 0.005
-    grasp_eps_rot: float = math.radians(2.0)
-    retain_pos: float = 0.015
-    retain_rot: float = math.radians(5.0)
-    drop_factor: float = 2.5
-    dt: float = 0.1
-    substeps: int = 5
-    control_arm: str = "right"
-    psi_left: float = -0.05
-    psi_right: float = 0.05
-    lock_pos_tol: float = 1e-9
-    lock_rot_tol: float = 1e-8
-    segment_knots: dict = field(default_factory=lambda: dict(
-        zip(SEGMENTS, (12, 8, 5, 8, 14, 6, 4, 8))))
-    timing_jitter: float = 0.10
+    """The ``task_world_v1`` table; angles are given there in degrees."""
 
-    def __post_init__(self):
-        for name in ("box_dims", "shelf_center", "shelf_region_half"):
-            setattr(self, name, real_array(getattr(self, name), (3,), name))
-        for f in fields(self):  # annotations are strings here
-            if f.type == "float" and not is_real(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be a finite number, "
-                                 f"got {getattr(self, f.name)!r}")
-        for v in (self.grasp_eps_pos, self.grasp_eps_rot, self.retain_pos,
-                  self.retain_rot, self.lock_pos_tol, self.lock_rot_tol):
-            if v <= 0.0:
-                raise ValueError("world thresholds must be positive")
-        if self.control_arm not in ("left", "right"):
-            raise ValueError("control_arm must be 'left' or 'right'")
-        if not (is_int(self.substeps) and self.substeps >= 1):
-            raise ValueError("substeps must be an integer >= 1")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if not all(-math.pi <= v <= math.pi for v in (self.psi_left, self.psi_right)):
-            raise ValueError("psi_left and psi_right must lie in [-pi, pi]")
-        if not (isinstance(self.segment_knots, dict)
-                and set(self.segment_knots) == set(SEGMENTS)
-                and all(map(is_real, self.segment_knots.values()))):
-            raise ValueError(f"segment_knots must give a finite number for "
-                             f"exactly {SEGMENTS}")
+    box_dims: list = spec(GEOMETRY)
+    grasp_pitch: float = spec(num(ge=-360.0, le=360.0), deg=True)
+    shelf_center: list = spec(GEOMETRY)
+    shelf_region_half: list = spec(GEOMETRY)
+    approach_clearance: float = spec(OFFSET, 0.10)
+    lift_height: float = spec(OFFSET, 0.15)
+    shelf_pre_offset: float = spec(OFFSET, 0.05)
+    retreat_back: float = spec(OFFSET, 0.10)
+    retreat_up: float = spec(OFFSET, 0.06)
+    grasp_eps_pos: float = spec(POSITIVE, 0.005)
+    grasp_eps_rot: float = spec(POSITIVE, math.radians(2.0), deg=True)
+    retain_pos: float = spec(POSITIVE, 0.015)
+    retain_rot: float = spec(POSITIVE, math.radians(5.0), deg=True)
+    drop_factor: float = spec(num(ge=1.0), 2.5)
+    dt: float = spec(POSITIVE, 0.1)
+    substeps: int = spec(num(integer=True, ge=1, le=50), 5)
+    control_arm: str = spec(choice("left", "right"), "right")
+    psi_left: float = spec(ANGLE, -0.05)
+    psi_right: float = spec(ANGLE, 0.05)
+    lock_pos_tol: float = spec(POSITIVE, 1e-9)
+    lock_rot_tol: float = spec(POSITIVE, 1e-8)
+    segment_knots: dict = spec(table(dict.fromkeys(SEGMENTS, KNOTS)), dict(
+        zip(SEGMENTS, (12, 8, 5, 8, 14, 6, 4, 8))))
+    timing_jitter: float = spec(num(ge=0.0, lt=1.0), 0.10)
 
     def psi(self, side):
         return self.psi_left if side == "left" else self.psi_right
 
 
-def world_config_from_dict(cfg):
-    """WorldConfig from a task_world_v1 document.  The dataclass holds every
-    default; the document gives the three angles below in degrees."""
-    if not isinstance(cfg, dict):
-        raise ValueError("world config must be a JSON object")
-    if cfg.get("schema_version") != "task_world_v1":
-        raise ValueError(
-            f"unsupported world schema {cfg.get('schema_version')!r}")
-    values = {k: v for k, v in cfg.items() if k != "schema_version"}
-    try:
-        for name in ("grasp_pitch", "grasp_eps_rot", "retain_rot"):
-            if name in values:
-                raise ValueError(f"world config: give {name} in degrees, "
-                                 f"as {name}_deg")
-            if f"{name}_deg" in values:
-                deg = values.pop(f"{name}_deg")
-                if not is_real(deg):
-                    raise ValueError(f"{name}_deg {deg!r} is not a finite number")
-                values[name] = math.radians(deg)
-        return WorldConfig(**values)
-    except (TypeError, OverflowError) as exc:  # a missing, unknown or bad key
-        raise ValueError(f"world config: {exc}") from exc
-
-
 def load_world_config(path):
     with open(path, encoding="utf-8") as fh:
-        return world_config_from_dict(json.load(fh))
+        return document(WorldConfig, json.load(fh), "task_world_v1")
 
 
 # --- grasp geometry ---

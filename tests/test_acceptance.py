@@ -5,7 +5,6 @@ line per criterion.  The heavyweight fixtures (200-episode datasets and
 their perturbed variants) are built once and shared.
 """
 
-import json
 import math
 
 import numpy as np

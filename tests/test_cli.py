@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import warnings
 
 import numpy as np
@@ -87,7 +86,22 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
                 "text_jitter": dict(world, timing_jitter="x"),
                 "short_box_dims": dict(world, box_dims=[0.1]),
                 "short_shelf_center": dict(world, shelf_center=[0.0, 0.62]),
-                "zero_lock_tol": dict(world, lock_pos_tol=0)}
+                "zero_lock_tol": dict(world, lock_pos_tol=0),
+                # bounds: counts, jitter, drop factor and scripted offsets
+                "many_substeps": dict(world, substeps=51),
+                "many_knots": dict(world, segment_knots=dict(
+                    world["segment_knots"], lateral=101)),
+                "negative_jitter": dict(world, timing_jitter=-1),
+                "unit_jitter": dict(world, timing_jitter=1),
+                "huge_jitter": dict(world, timing_jitter=1e308),
+                "negative_drop_factor": dict(world, drop_factor=-5),
+                "low_drop_factor": dict(world, drop_factor=0.5),
+                "far_lift": dict(world, lift_height=1e308),
+                "far_approach": dict(world, approach_clearance=-1e308),
+                "far_shelf_pre_offset": dict(world, shelf_pre_offset=3),
+                "far_retreat_back": dict(world, retreat_back=-3),
+                "far_retreat_up": dict(world, retreat_up=3),
+                "far_box_dims": dict(world, box_dims=[1e308, 0.2, 0.18])}
     # degree values that are booleans, not numbers
     for key in ("grasp_pitch_deg", "grasp_eps_rot_deg", "retain_rot_deg"):
         bad_docs[f"bool_{key}"] = dict(world, **{key: True})
@@ -142,6 +156,9 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
              ["perturb", "--in", data, "--eta", "nan"],
              ["perturb", "--in", data, "--eta", "inf"],
              ["gen", "--seed", "-1"],
+             ["gen", "--n", "100001"],
+             ["gen", "--workers", "33"],
+             ["curvature", "--in", data, "--max-episodes", "100001"],
              ["--config", str(array), "gen"],
              ["gen", "--world", str(array)],
              ["gen", "--arm-model-left", str(array)]]
@@ -149,7 +166,11 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
               ("text_knots", "text_drop_factor", "text_jitter",
                "short_box_dims", "short_shelf_center", "zero_lock_tol",
                "bool_grasp_pitch_deg", "bool_grasp_eps_rot_deg",
-               "bool_retain_rot_deg")]
+               "bool_retain_rot_deg", "many_substeps", "many_knots",
+               "negative_jitter", "unit_jitter", "huge_jitter",
+               "negative_drop_factor", "low_drop_factor", "far_lift",
+               "far_approach", "far_shelf_pre_offset", "far_retreat_back",
+               "far_retreat_up", "far_box_dims")]
     # arm documents: a name that is no string, joint limits that are no 7 x 2
     # array, integers too large for a float, an overflowing base rotation, a
     # zero or vanishing SEW pole and a NaN joint limit
@@ -164,7 +185,14 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
                 dict(arm, base_pose=dict(arm["base_pose"],
                                          rpy_deg=[0, 0, "1e400"])),
                 dict(arm, sew_pole=[0, 0, 0]), dict(arm, sew_pole=[1e-320, 0, 0]),
-                dict(arm, joint_limits_deg=[[math.nan, 170], *limits[1:]])]
+                dict(arm, joint_limits_deg=[[math.nan, 170], *limits[1:]]),
+                # geometry beyond a few metres, whose norms would overflow
+                dict(arm, sew_pole=[1e308, 0, 0]),
+                dict(arm, joint_axes=[[0, 0, 1e308], *arm["joint_axes"][1:]]),
+                dict(arm, base_pose=dict(arm["base_pose"],
+                                         rpy_deg=[0, 0, 1e308])),
+                dict(arm, joint_offsets=[{"xyz": [0, 0, 1e308]},
+                                         *arm["joint_offsets"][1:]])]
     for i, doc in enumerate(arm_docs):
         (tmp_path / f"arm{i}.json").write_text(
             json.dumps(doc).replace('"1e400"', "1e400"))

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilock import cli
+from bilock.configio import (PipelineConfig, default_data_path,
+                             load_pipeline_config)
 from bilock.episodes import (EVENT_KINDS, PHASES, Episode, Event,
                              episode_from_record, episode_to_record,
                              read_episodes, write_episodes, write_records)
 from bilock.errors import MalformedRecord, SchemaMismatch
+from bilock.kinematics import load_arm_model
+from bilock.worldsim import load_world_config
 
 
 def test_round_trip_bitwise(tmp_path, clean_set):
@@ -256,34 +261,73 @@ def _field_paths(node, path=()):
     return paths
 
 
-JSON_VALUES = [None, True, False, 0, 1, -1, 2.5, 1e308, -1e308, 10 ** 400,
-               -10 ** 400, "", "x", "transport", [], [1.0], {}, {"a": 1}]
+FUZZ_VALUES = [None, True, "x", [], {}, 10 ** 400, -1, 0, [1.0], 1e308, -1e308,
+               10 ** 6]
 
 
-@pytest.fixture(scope="module")
-def record_paths(clean_episode):
-    rec = episode_to_record(clean_episode)
-    return rec, _field_paths(rec)
+def _replaced(doc, path, value):
+    """The JSON text of doc with the field at path set to value; doc itself
+    is left as it was."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    kept, node[path[-1]] = node[path[-1]], value
+    text = json.dumps(doc)
+    node[path[-1]] = kept
+    return text
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
-@given(pick=st.integers(0, 10 ** 6), value=st.sampled_from(JSON_VALUES))
 def test_single_field_replacement_reads_or_is_malformed(
-        tmp_path_factory, record_paths, pick, value):
-    """Replacing any one field of a valid record with any JSON value either
-    reads back or is a MalformedRecord/SchemaMismatch; nothing else
-    escapes the reader."""
-    rec, paths = record_paths
-    rec = json.loads(json.dumps(rec))
-    *parents, key = paths[pick % len(paths)]
-    node = rec
-    for p in parents:
-        node = node[p]
-    node[key] = value
-    path = tmp_path_factory.mktemp("fuzz") / "eps.jsonl"
-    header = {"schema_version": "episode_dataset_v1", "n_episodes": 1}
-    path.write_text(json.dumps(header) + "\n" + json.dumps(rec) + "\n")
-    try:
-        read_episodes(path)
-    except (MalformedRecord, SchemaMismatch):
-        pass
+        tmp_path, clean_episode, capsys):
+    """Replacing any one field of a valid pipeline config, world or arm
+    document or episode record with any of FUZZ_VALUES either loads or is
+    rejected with the kind's own one-line error: ValueError for the
+    configs, MalformedRecord or SchemaMismatch for records.  A derandomized
+    sample of the accepted documents then runs through ``gen --n 1`` or a
+    one-record ``eval``, four of each kind, which ends with exit 0, 2, 3 or
+    4 and one stderr line unless it succeeds."""
+    ranges = {"x_range": [-0.2, 0.2], "y_range": [0.55, 0.65],
+              "theta_range": [-0.3, 0.3]}
+    docs = {"pipeline": {**PipelineConfig().canonical_dict(), "workers": 1,
+                         "out_dir": "out", "distribution": "custom",
+                         "custom_distribution": ranges},
+            "world": json.loads(default_data_path("world.json").read_text()),
+            "arm": json.loads(default_data_path("arm_left.json").read_text()),
+            "record": json.loads(json.dumps(episode_to_record(clean_episode)))}
+    loaders = {"pipeline": load_pipeline_config, "world": load_world_config,
+               "arm": load_arm_model, "record": read_episodes}
+    header = json.dumps({"schema_version": "episode_dataset_v1",
+                         "n_episodes": 1})
+    path = tmp_path / "doc.json"
+    accepted = {kind: [] for kind in docs}
+    for kind, doc in docs.items():
+        errors = ((MalformedRecord, SchemaMismatch) if kind == "record"
+                  else ValueError)
+        for field in _field_paths(doc):
+            for value in FUZZ_VALUES:
+                text = _replaced(doc, field, value)
+                if kind == "record":
+                    text = f"{header}\n{text}\n"
+                path.write_text(text)
+                try:
+                    loaders[kind](path)
+                except errors as exc:
+                    assert "\n" not in str(exc), (kind, field, value)
+                else:
+                    accepted[kind].append((field, value, text))
+    # flags keep every gen run to one episode in one process
+    stages = {"pipeline": ["--config", str(path), "gen"],
+              "world": ["gen", "--world", str(path)],
+              "arm": ["gen", "--arm-model-left", str(path)],
+              "record": ["eval", "--in", str(path)]}
+    sample = [(kind, *case) for kind, cases in accepted.items()
+              for case in random.Random(0).sample(cases, 4)]
+    for kind, field, value, text in sample:
+        path.write_text(text)
+        args = stages[kind] + ["--out-dir", str(tmp_path / "out")]
+        if kind != "record":
+            args += ["--n", "1", "--workers", "1"]
+        code = cli.main(args)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (kind, field, value)
+        assert err.count("\n") == (code != 0), (kind, field, value, err)

@@ -5,7 +5,6 @@ from bilock import bimanual as bm
 from bilock import kinematics as kin
 from bilock import metrics as mx
 from bilock import perturb as pb
-from bilock import worldsim as ws
 from bilock.episodes import JOINTS, Episode, Event
 from bilock.errors import (EmptyDataset, InvalidCounts, MissingEventLog,
                            NoTransportPhase)
