@@ -9,15 +9,15 @@ therefore yields value, gradient and Hessian together
 Functions differentiated in dual mode must be written against the
 dispatching helpers of this module (``sin``, ``cos``, ``sqrt``,
 ``atan2``, ``value``, ...) or the arithmetic operators, so the same code
-runs on plain floats and on ``Dual2`` scalars.  Central finite
-differences are provided as an independent cross-check and work with any
-float-valued function.
+runs on plain floats and on ``Dual2`` scalars.  Given a step,
+``value_jacobian_hessian`` takes central finite differences of f on
+plain floats instead (``jacobian_numeric``, ``hessian_numeric``): the
+independent check of the dual pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,27 +152,7 @@ def seed_duals2(x):
                     dtype=object)
 
 
-# --- numerical differentiation front end ---
-
-@dataclass(frozen=True)
-class DiffConfig:
-    """Derivative engine selection.
-
-    mode: "dual" for forward-mode dual numbers (exact for polynomials),
-          "fd" for central finite differences (independent oracle).
-    fd_step: finite-difference step in the input units (radians for
-             joint-space maps).
-    """
-
-    mode: str = "dual"
-    fd_step: float = 1e-5
-
-    def __post_init__(self):
-        if self.mode not in ("dual", "fd"):
-            raise ValueError(f"unknown differentiation mode {self.mode!r}")
-        if self.fd_step <= 0.0:
-            raise ValueError("fd_step must be positive")
-
+# --- the derivative front end ---
 
 def _call(f, x):
     try:
@@ -197,7 +177,9 @@ def _dual_pass(f, x):
     return val, jac, hess
 
 
-def _fd_jacobian(f, x, h):
+def jacobian_numeric(f, x, h):
+    """m x n Jacobian of f: R^n -> R^m at the float point x, by central
+    differences of step h (2n evaluations of f)."""
     n = x.shape[0]
     cols = []
     for i in range(n):
@@ -207,7 +189,10 @@ def _fd_jacobian(f, x, h):
     return np.array(cols, dtype=float).T
 
 
-def _fd_hessian(f, x, h, m):
+def hessian_numeric(f, x, h, m):
+    """m x n x n Hessian of f: R^n -> R^m at the float point x, by the
+    4-point central second difference of step h (4 evaluations of f per
+    entry of the upper triangle)."""
     n = x.shape[0]
     hess = np.zeros((m, n, n))
     for i in range(n):
@@ -224,41 +209,17 @@ def _fd_hessian(f, x, h, m):
     return hess
 
 
-def value_jacobian_hessian(f, x, cfg=DiffConfig()):
+def value_jacobian_hessian(f, x, fd_step=None):
     """(f(x), m x n Jacobian, m x n x n Hessian) of f: R^n -> R^m at x.
 
-    Dual mode evaluates f once on ``Dual2`` seeds; fd mode evaluates f at x
-    and then takes the central differences of ``jacobian_numeric`` and
-    ``hessian_numeric``.
+    With ``fd_step`` None, f is evaluated once on ``Dual2`` seeds.  With a
+    step (in the input units: radians for joint-space maps), f is evaluated
+    at x and the central differences of ``jacobian_numeric`` and
+    ``hessian_numeric`` give the derivatives.
     """
     x = np.asarray(x, dtype=float)
-    if cfg.mode == "dual":
+    if fd_step is None:
         return _dual_pass(f, x)
     y = _call(f, x)
-    return (y, _fd_jacobian(f, x, cfg.fd_step),
-            _fd_hessian(f, x, cfg.fd_step, y.shape[0]))
-
-
-def jacobian_numeric(f, x, cfg=DiffConfig()):
-    """m x n Jacobian of f: R^n -> R^m at x.
-
-    In dual mode, f is evaluated once on seeded ``Dual2`` scalars and must
-    be written against the dispatching math helpers of this module.  In fd
-    mode, f is probed with plain float vectors.
-    """
-    x = np.asarray(x, dtype=float)
-    if cfg.mode == "dual":
-        return _dual_pass(f, x)[1]
-    return _fd_jacobian(f, x, cfg.fd_step)
-
-
-def hessian_numeric(f, x, cfg=DiffConfig()):
-    """m x n x n Hessian tensor of f: R^n -> R^m at x.
-
-    Each output slice is symmetrized; dual mode produces it in a single
-    forward pass, fd mode uses the 4-point central second difference.
-    """
-    x = np.asarray(x, dtype=float)
-    if cfg.mode == "dual":
-        return _dual_pass(f, x)[2]
-    return _fd_hessian(f, x, cfg.fd_step, _call(f, x).shape[0])
+    return (y, jacobian_numeric(f, x, fd_step),
+            hessian_numeric(f, x, fd_step, y.shape[0]))

@@ -28,7 +28,6 @@ from . import metrics as mx
 from . import perturb as pb
 from . import stats as st
 from . import worldsim as ws
-from .autodiff import DiffConfig
 from .configio import load_models, load_pipeline_config
 from .episodes import read_episodes, write_episodes, write_records
 from .errors import (BilockError, EmptyDataset, IkFailureDuringPerturb,
@@ -117,13 +116,13 @@ def run_eval(cfg, model, world_cfg, episodes, out):
 def run_curvature(cfg, model, world_cfg, episodes, out):
     if cfg.max_episodes:
         episodes = episodes[:cfg.max_episodes]
-    diff = DiffConfig(cfg.diff_mode, cfg.fd_step)
+    fd_step = cfg.fd_step if cfg.diff_mode == "fd" else None
 
     rows = []
     for i, ep in enumerate(episodes):
         f = mf.constraint_for_episode(model, ep)
         series, gaps = mf.rollout_curvature_series(
-            f, ep, diff, cfg.rank_tol, cfg.knot_stride)
+            f, ep, fd_step, cfg.rank_tol, cfg.knot_stride)
         rows.append({"episode": i, "series": series, "gaps": gaps,
                      "outcome": mx.classify_outcome(
                          ws.replay_episode(model, world_cfg, ep))})

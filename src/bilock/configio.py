@@ -15,7 +15,8 @@ from importlib import resources
 from . import bimanual as bm
 from . import kinematics as kin
 from . import worldsim as ws
-from .schema import TEXT, choice, document, num, seq, spec, table
+from .schema import (TEXT, choice, document, num, parse_json, seq, spec,
+                     table)
 
 PIPELINE_SCHEMA = "pipeline_config_v1"
 
@@ -89,7 +90,7 @@ def load_pipeline_config(path=None, overrides=None):
     doc = {}
     if path:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = parse_json(fh.read())
         if not isinstance(doc, dict):
             raise ValueError("pipeline config must be a JSON object")
     doc = {"schema_version": PIPELINE_SCHEMA, **doc, **{

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MalformedRecord, SchemaMismatch
-from .schema import BOOL, TEXT, array, choice, num, seq, table
+from .schema import BOOL, TEXT, array, choice, num, parse_json, seq, table
 
 EPISODE_SCHEMA = "episode_v1"
 DATASET_SCHEMA = "episode_dataset_v1"
@@ -82,8 +82,9 @@ def episode_to_record(ep):
 
 
 # metadata is free-form beyond the keys the stages read, and kept as written
-_META = table({"box_init": array(3), "control_arm": choice("left", "right"),
-               "psi_left": ANGLE, "psi_right": ANGLE, "branch": seq(BOOL, 3)},
+_META = table({"box_init": array(3, bound=10.0),
+               "control_arm": choice("left", "right"), "psi_left": ANGLE,
+               "psi_right": ANGLE, "branch": seq(BOOL, 3)},
               optional=["branch"], extra_keys=True)
 _STEP = table({"t": num(integer=True), "obs": array(CMD_DIM),
                "act": array(CMD_DIM), "phase": choice(*PHASES), "lock": BOOL})
@@ -153,12 +154,12 @@ def read_episodes(path, return_header=False):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line.decode("utf-8"))
+                rec = parse_json(line.decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise MalformedRecord(f"not UTF-8 ({exc.reason})", lineno) from exc
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(f"invalid JSON ({exc.msg})", lineno) from exc
-            except ValueError as exc:  # an integer beyond the digit limit
+            except ValueError as exc:  # too many digits or nested too deeply
                 raise MalformedRecord(f"invalid JSON ({exc})", lineno) from exc
             if not isinstance(rec, dict):
                 raise MalformedRecord("record is not a JSON object", lineno)

@@ -140,10 +140,6 @@ class Pose:
         self.rotation = rotation
         self.translation = translation
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3), np.zeros(3))
-
     def __matmul__(self, other):
         if isinstance(other, Pose):
             return Pose(self.rotation @ other.rotation,
@@ -194,26 +190,3 @@ def grot_z(q):
 def grot_y(q):
     c, s = ad.cos(q), ad.sin(q)
     return [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]
-
-
-def grot_x(q):
-    c, s = ad.cos(q), ad.sin(q)
-    return [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]
-
-
-_AXIS_ROT = {(0.0, 0.0, 1.0): grot_z, (0.0, 1.0, 0.0): grot_y,
-             (1.0, 0.0, 0.0): grot_x}
-
-
-def grot_axis(axis, q):
-    """Rotation about a fixed unit axis, generic in the angle scalar."""
-    key = (float(axis[0]), float(axis[1]), float(axis[2]))
-    builder = _AXIS_ROT.get(key)
-    if builder is not None:
-        return builder(q)
-    c, s = ad.cos(q), ad.sin(q)
-    x, y, z = (float(axis[0]), float(axis[1]), float(axis[2]))
-    v = 1.0 - c
-    return [[c + x * x * v, x * y * v - z * s, x * z * v + y * s],
-            [y * x * v + z * s, c + y * y * v, y * z * v - x * s],
-            [z * x * v - y * s, z * y * v + x * s, c + z * z * v]]

@@ -11,8 +11,8 @@ One chain computes every kinematic quantity: ``joint_frames`` walks the
 joints once, generic in the scalars of q (plain floats or the dual scalars
 of :mod:`bilock.autodiff`), and forward kinematics, the geometric
 Jacobian and the SEW angle all read its frames.  It accepts any chain of
-translational offsets and unit joint axes; only the analytic IK needs the
-S-R-S layout.
+translational offsets whose joints each turn about the local z or y axis;
+only the analytic IK needs the S-R-S layout.
 
 The redundancy is parameterized by a SEW angle whose reference direction
 is the parallel transport of a fixed tangent vector along the great
@@ -23,7 +23,6 @@ direction.  The parameterization is therefore singular on a single ray
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,8 +33,8 @@ from . import geometry as geo
 from .errors import (DegenerateSEW, ElbowSingular, JointLimitViolation,
                      Unreachable)
 from .geometry import Pose
-from .schema import (GEOMETRY, TEXT, array, choice, document, seq, spec,
-                     table)
+from .schema import (GEOMETRY, TEXT, array, choice, document, parse_json,
+                     seq, spec, table)
 
 
 def wrap_angle(x):
@@ -75,9 +74,10 @@ def _unit(v, what):
 class ArmModel:
     """One 7-DoF arm: the ``arm_model_v1`` table.  The base pose is xyz and
     rpy_deg (each zero if absent); the eight joint offsets, frame i-1 to
-    joint i plus flange, are translations (xyz); joint axes are unit vectors
-    in the local joint frames; joint limits are (7, 2) [lo, hi] in radians;
-    the SEW pole and zero direction are in the base frame."""
+    joint i plus flange, are translations (xyz); each joint axis is the
+    local z axis [0, 0, 1] or y axis [0, 1, 0]; joint limits are (7, 2)
+    [lo, hi] in radians; the SEW pole and zero direction are in the base
+    frame."""
 
     name: str = spec(TEXT)
     base_pose: Pose = spec(table({"xyz": GEOMETRY, "rpy_deg": array(
@@ -93,9 +93,9 @@ class ArmModel:
     def __post_init__(self):
         self.joint_axes = np.asarray(self.joint_axes, dtype=float)
         self.joint_limits = np.asarray(self.joint_limits, dtype=float)
-        norms = np.linalg.norm(self.joint_axes, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("joint axes must be unit norm within 1e-12")
+        if not all(a.tolist() in ([0, 0, 1], [0, 1, 0])
+                   for a in self.joint_axes):
+            raise ValueError("each joint axis must be [0, 0, 1] or [0, 1, 0]")
         if np.any(self.joint_limits[:, 0] >= self.joint_limits[:, 1]):
             raise ValueError("joint limits must satisfy lo < hi")
         self.sew_pole = pole = _unit(self.sew_pole, "sew_pole")
@@ -118,19 +118,20 @@ class ArmModel:
             if np.linalg.norm(offs[i][:2]) > 1e-12 or offs[i][2] <= 0.0:
                 raise ValueError(f"offset {i} must be a positive z translation")
         pattern = np.array([(0, 0, 1), (0, 1, 0)] * 3 + [(0, 0, 1)], dtype=float)
-        if np.linalg.norm(self.joint_axes - pattern, axis=1).max() > 1e-12:
+        if not np.array_equal(self.joint_axes, pattern):
             raise ValueError("joint axes must follow the z/y/z/y/z/y/z pattern")
         return offs[0].copy(), float(offs[3][2]), float(offs[4][2]), float(offs[7][2])
 
     @cached_property
     def _generic(self):
         """Python-native copies of the chain constants (offsets are pure
-        translations, checked above)."""
+        translations), and each joint's rotation builder."""
         base_r = [[float(v) for v in row] for row in self.base_pose.rotation]
         base_t = [float(v) for v in self.base_pose.translation]
         offs = [[float(v) for v in p.translation] for p in self.joint_offsets]
-        axes = [tuple(float(v) for v in a) for a in self.joint_axes]
-        return base_r, base_t, offs, axes
+        rots = [geo.grot_z if a[2] == 1.0 else geo.grot_y
+                for a in self.joint_axes]
+        return base_r, base_t, offs, rots
 
 
 # --- forward kinematics ---
@@ -144,7 +145,7 @@ def joint_frames(model, q):
     the chain).  Joint i turns about ``R_i @ joint_axes[i]`` through its
     origin; the last entry is the flange pose.
     """
-    base_r, base_t, offs, axes = model._generic
+    base_r, base_t, offs, rots = model._generic
     r = base_r
     t = base_t
     frames = []
@@ -154,7 +155,7 @@ def joint_frames(model, q):
             d = geo.gmat_vec(r, off)
             t = [t[0] + d[0], t[1] + d[1], t[2] + d[2]]
         frames.append((r, t))
-        r = geo.gmat_mul(r, geo.grot_axis(axes[i], q[i]))
+        r = geo.gmat_mul(r, rots[i](q[i]))
     d = geo.gmat_vec(r, offs[7])
     frames.append((r, [t[0] + d[0], t[1] + d[1], t[2] + d[2]]))
     return frames
@@ -318,6 +319,6 @@ def inverse_kinematics(model, target, psi, branch=IkBranch(),
 def load_arm_model(path):
     """Load an arm from an ``arm_model_v1`` JSON document."""
     with open(path, encoding="utf-8") as fh:
-        model = document(ArmModel, json.load(fh), "arm_model_v1")
+        model = document(ArmModel, parse_json(fh.read()), "arm_model_v1")
     model.srs  # the analytic-IK layout checks, so a bad layout fails here
     return model

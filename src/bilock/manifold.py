@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bimanual as bm
 from . import geometry as geo
-from .autodiff import DiffConfig, jacobian_numeric, value_jacobian_hessian
+from .autodiff import value_jacobian_hessian
 from .episodes import Q14
 from .errors import NoTransportPhase, RankDeficient
 
@@ -42,9 +42,6 @@ class ConstraintFunction:
 
     def __call__(self, q):
         return np.asarray(self._fn(np.asarray(q)))
-
-    def residual_norm(self, q):
-        return float(np.linalg.norm(self(np.asarray(q, dtype=float))))
 
 
 def make_constraint(model, q0):
@@ -99,12 +96,6 @@ def _frame(q, jac, rank_tol):
                          cond_j=float(s[0] / s[m - 1]))
 
 
-def frame_at(f, q, cfg=DiffConfig(), rank_tol=RANK_TOL):
-    """Tangent/normal bases of the level set of f through q."""
-    q = np.asarray(q, dtype=float)
-    return _frame(q, jacobian_numeric(f, q, cfg), rank_tol)
-
-
 def second_fundamental_form(frame, hess):
     """II in normal-basis coordinates: (dim_t, dim_t, m).
 
@@ -130,17 +121,17 @@ class CurvatureResult:
     frame: ManifoldFrame
 
 
-def riemann_and_kretschmann(f, q, cfg=DiffConfig(), rank_tol=RANK_TOL):
+def riemann_and_kretschmann(f, q, fd_step=None, rank_tol=RANK_TOL):
     """Riemann tensor (orthonormal tangent basis) and Kretschmann scalar.
 
     Gauss equation in the flat ambient metric:
     R_ijkl = <II_ik, II_jl> - <II_il, II_jk>.  Off the manifold the level
     set through q is measured and the residual norm reported.  Residual,
     Jacobian and Hessian come from one derivative call: a single ``Dual2``
-    evaluation of f in dual mode.
+    evaluation of f, or central differences of step ``fd_step``.
     """
     q = np.asarray(q, dtype=float)
-    val, jac, hess = value_jacobian_hessian(f, q, cfg)
+    val, jac, hess = value_jacobian_hessian(f, q, fd_step)
     frame = _frame(q, jac, rank_tol)
     ii = second_fundamental_form(frame, hess)
     riemann = (np.einsum("ika,jla->ijkl", ii, ii)
@@ -151,7 +142,7 @@ def riemann_and_kretschmann(f, q, cfg=DiffConfig(), rank_tol=RANK_TOL):
                            frame=frame)
 
 
-def rollout_curvature_series(f, episode, cfg=DiffConfig(), rank_tol=RANK_TOL,
+def rollout_curvature_series(f, episode, fd_step=None, rank_tol=RANK_TOL,
                              knot_stride=1):
     """Per-transport-knot curvature record list plus rank-deficient gaps.
 
@@ -165,7 +156,8 @@ def rollout_curvature_series(f, episode, cfg=DiffConfig(), rank_tol=RANK_TOL,
     gaps = []
     for t in transport[::knot_stride]:
         try:
-            res = riemann_and_kretschmann(f, episode.act[t, Q14], cfg, rank_tol)
+            res = riemann_and_kretschmann(f, episode.act[t, Q14], fd_step,
+                                          rank_tol)
         except RankDeficient as exc:
             gaps.append({"t": t, "sigma_min": exc.sigma_min})
             continue

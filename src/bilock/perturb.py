@@ -71,12 +71,6 @@ def ou_variance(eta, k):
     return eta ** 2 * (1.0 - rho ** (2 * k)) / (1.0 - rho ** 2)
 
 
-def _perturbed_pose(pose, z):
-    """Right-multiplied local-frame offset: hand-tremor-like error."""
-    rot = pose.rotation @ so3_exp(z[3:])
-    return Pose(rot, pose.translation + pose.rotation @ z[:3])
-
-
 def perturb_episode(model, episode, level, eta, seed):
     """Episode with OU-perturbed subordinate commands at transport knots.
 
@@ -106,8 +100,10 @@ def perturb_episode(model, episode, level, eta, seed):
             continue
         pose = kin.forward_kinematics(sub_model, out.act[idx, JOINTS[sub]])
         try:
-            q_new = kin.inverse_kinematics(sub_model, _perturbed_pose(pose, z),
-                                           psi, branch, enforce_limits=False)
+            # right-multiplied local-frame offset: hand-tremor-like error
+            q_new = kin.inverse_kinematics(
+                sub_model, pose @ Pose(so3_exp(z[3:]), z[:3]), psi, branch,
+                enforce_limits=False)
         except BilockError:
             failures += 1
             continue

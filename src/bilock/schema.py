@@ -7,12 +7,22 @@ is its own table: each field carries its domain (``spec``)."""
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import operator
 from dataclasses import MISSING, field, fields
 
 import numpy as np
+
+
+def parse_json(text):
+    """The JSON value of text; nesting too deep for the parser is a
+    ValueError, as is any other text that is not JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def is_int(v):

@@ -20,7 +20,6 @@ action array: between knots the command is linearly interpolated at
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ from .episodes import (ANGLE, BOX_DROP, CMD_DIM, GRASP_ATTACH, GRASP_DETACH,
                        GRIP, JOINTS, PLACED, Q14, Episode, Event)
 from .errors import BilockError, PathInfeasible, UnreachableGrasp
 from .geometry import Pose, pose_error, so3_exp, so3_log
-from .schema import GEOMETRY, choice, document, num, spec, table
+from .schema import GEOMETRY, choice, document, num, parse_json, spec, table
 from .seeding import rng_from
 
 
@@ -117,7 +116,7 @@ class WorldConfig:
 
 def load_world_config(path):
     with open(path, encoding="utf-8") as fh:
-        return document(WorldConfig, json.load(fh), "task_world_v1")
+        return document(WorldConfig, parse_json(fh.read()), "task_world_v1")
 
 
 # --- grasp geometry ---

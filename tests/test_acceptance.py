@@ -18,7 +18,8 @@ from bilock import metrics as mx
 from bilock import perturb as pb
 from bilock import stats as st
 from bilock import worldsim as ws
-from bilock.autodiff import DiffConfig, hessian_numeric, jacobian_numeric
+from bilock.autodiff import (hessian_numeric, jacobian_numeric,
+                             value_jacobian_hessian)
 from bilock.episodes import Q14
 from bilock.geometry import geodesic_distance
 from bilock.seeding import rng_from
@@ -163,8 +164,8 @@ def test_criterion_4_riemann_symmetries(model):
     for _ in range(5):
         q0 = random_q14(model, rng, scale=0.65)
         f = mf.make_constraint(model, q0)
-        frame = mf.frame_at(f, q0)
-        hess = hessian_numeric(f, q0)
+        _, jac, hess = value_jacobian_hessian(f, q0)
+        frame = mf._frame(q0, jac, mf.RANK_TOL)
         ii = mf.second_fundamental_form(frame, hess)
         k0 = float(np.sum((np.einsum("ika,jla->ijkl", ii, ii)
                            - np.einsum("ila,jka->ijkl", ii, ii)) ** 2))
@@ -195,14 +196,14 @@ def test_criterion_5_derivative_cross_validation(model):
         def pose_map(qq, arm=arm):
             r, t = kin.forward_kinematics_generic(arm, qq)
             return t
-        jf = jacobian_numeric(pose_map, q, DiffConfig("fd", 1e-6))
+        jf = jacobian_numeric(pose_map, q, 1e-6)
         worst_jac = max(worst_jac, np.abs(jac[:3] - jf).max())
     worst_hess = 0.0
     for _ in range(100):
         q0 = random_q14(model, rng, scale=0.65)
         f = mf.make_constraint(model, q0)
-        hd = hessian_numeric(f, q0, DiffConfig("dual"))
-        hf = hessian_numeric(f, q0, DiffConfig("fd", 1e-4))
+        hd = value_jacobian_hessian(f, q0)[2]
+        hf = hessian_numeric(f, q0, 1e-4, 6)
         worst_hess = max(worst_hess, np.abs(hd - hf).max() / np.abs(hd).max())
     ok = worst_jac <= 1e-6 and worst_hess <= 1e-5
     report(5, "derivative cross-validation", ok,

@@ -3,48 +3,52 @@ import pytest
 
 from bilock import autodiff as ad
 from bilock import kinematics as kin
-from bilock.autodiff import DiffConfig, hessian_numeric, jacobian_numeric
+from bilock.autodiff import (hessian_numeric, jacobian_numeric,
+                             value_jacobian_hessian)
 from bilock.errors import EvaluationFailure
 
 from conftest import random_joint_config
 
+FD_STEP = 1e-5  # the pipeline config's default fd_step
 
-def test_diffconfig_validation():
-    with pytest.raises(ValueError):
-        DiffConfig(mode="magic")
-    with pytest.raises(ValueError):
-        DiffConfig(fd_step=0.0)
+
+def dual_jacobian(f, x):
+    return value_jacobian_hessian(f, x)[1]
+
+
+def dual_hessian(f, x):
+    return value_jacobian_hessian(f, x)[2]
 
 
 def test_jacobian_identity_map():
     f = lambda x: x
-    for mode in ("dual", "fd"):
-        j = jacobian_numeric(f, np.array([0.3, -1.2, 4.0]), DiffConfig(mode))
+    x = np.array([0.3, -1.2, 4.0])
+    for j in (dual_jacobian(f, x), jacobian_numeric(f, x, FD_STEP)):
         assert np.allclose(j, np.eye(3), atol=1e-10)
 
 
 def test_jacobian_squared_norm():
     f = lambda x: np.array([x[0] * x[0] + x[1] * x[1]], dtype=object) \
         if x.dtype == object else np.array([x[0] ** 2 + x[1] ** 2])
-    j = jacobian_numeric(f, np.array([1.0, 2.0]))
+    j = dual_jacobian(f, np.array([1.0, 2.0]))
     assert np.array_equal(j, np.array([[2.0, 4.0]]))  # dual mode is exact
 
 
 def test_hessian_linear_and_quadratic():
     lin = lambda x: np.array([3.0 * x[0] - x[1]], dtype=object) \
         if x.dtype == object else np.array([3.0 * x[0] - x[1]])
-    h = hessian_numeric(lin, np.array([0.5, 0.5]))
+    h = dual_hessian(lin, np.array([0.5, 0.5]))
     assert np.array_equal(h, np.zeros((1, 2, 2)))
     quad = lambda x: np.array([x[0] * x[0] + x[1] * x[1]], dtype=object) \
         if x.dtype == object else np.array([x[0] ** 2 + x[1] ** 2])
-    h = hessian_numeric(quad, np.array([1.0, 2.0]))
+    h = dual_hessian(quad, np.array([1.0, 2.0]))
     assert np.array_equal(h[0], 2.0 * np.eye(2))
 
 
 def test_dual_output_independent_of_input():
     f = lambda x: np.array([x[0], 7.0], dtype=object) \
         if x.dtype == object else np.array([x[0], 7.0])
-    j = jacobian_numeric(f, np.array([1.0, 2.0]))
+    j = dual_jacobian(f, np.array([1.0, 2.0]))
     assert np.array_equal(j, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
@@ -52,9 +56,9 @@ def test_evaluation_failure_wrapped():
     def bad(x):
         raise RuntimeError("boom")
     with pytest.raises(EvaluationFailure):
-        jacobian_numeric(bad, np.zeros(2))
+        value_jacobian_hessian(bad, np.zeros(2))
     with pytest.raises(EvaluationFailure):
-        hessian_numeric(bad, np.zeros(2), DiffConfig("fd"))
+        hessian_numeric(bad, np.zeros(2), FD_STEP, 1)
 
 
 def test_fk_position_dual_vs_fd(model):
@@ -67,8 +71,8 @@ def test_fk_position_dual_vs_fd(model):
     rng = np.random.default_rng(10)
     for _ in range(10):
         q = random_joint_config(arm, rng, scale=0.9)
-        jd = jacobian_numeric(pos_map, q, DiffConfig("dual"))
-        jf = jacobian_numeric(pos_map, q, DiffConfig("fd"))
+        jd = dual_jacobian(pos_map, q)
+        jf = jacobian_numeric(pos_map, q, FD_STEP)
         scale = max(1.0, np.abs(jd).max())
         assert np.abs(jd - jf).max() / scale <= 1e-6
 
@@ -81,8 +85,7 @@ def test_hessian_symmetry_fd_mode(model):
 
     rng = np.random.default_rng(11)
     q = random_joint_config(arm, rng, scale=0.8)
-    for mode, step in (("dual", 1e-5), ("fd", 1e-4)):
-        h = hessian_numeric(pos_map, q, DiffConfig(mode, step))
+    for h in (dual_hessian(pos_map, q), hessian_numeric(pos_map, q, 1e-4, 3)):
         assert np.abs(h - h.transpose(0, 2, 1)).max() <= 1e-8
 
 
@@ -93,9 +96,9 @@ def test_trig_chain_dual_matches_fd():
                 ad.atan2(x[1], x[0])]
 
     x0 = np.array([0.7, -0.3])
-    jd = jacobian_numeric(f, x0, DiffConfig("dual"))
-    jf = jacobian_numeric(f, x0, DiffConfig("fd"))
+    jd = dual_jacobian(f, x0)
+    jf = jacobian_numeric(f, x0, FD_STEP)
     assert np.abs(jd - jf).max() <= 1e-9
-    hd = hessian_numeric(f, x0, DiffConfig("dual"))
-    hf = hessian_numeric(f, x0, DiffConfig("fd", 1e-4))
+    hd = dual_hessian(f, x0)
+    hf = hessian_numeric(f, x0, 1e-4, 3)
     assert np.abs(hd - hf).max() <= 1e-6

@@ -158,4 +158,4 @@ def test_subordinate_psi_changes_config_not_transform(model, world_cfg):
 
 def test_lock_tolerances_validated():
     with pytest.raises(ValueError):
-        bm.TransformLock("right", Pose.identity(), pos_tol=0.0)
+        bm.TransformLock("right", Pose(np.eye(3), np.zeros(3)), pos_tol=0.0)

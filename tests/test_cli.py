@@ -132,6 +132,8 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
     magic.write_text(json.dumps({"diff_mode": "magic"}))
     array = tmp_path / "array.json"
     array.write_text("[1, 2]")
+    nested = tmp_path / "nested.json"  # too deep for the JSON parser
+    nested.write_text("[" * 100_000)
     data = str(clean_run / "episodes.jsonl")
     cases = [["gen", "--n", "0"],
              ["gen", "--distribution", "custom"],
@@ -161,7 +163,10 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
              ["curvature", "--in", data, "--max-episodes", "100001"],
              ["--config", str(array), "gen"],
              ["gen", "--world", str(array)],
-             ["gen", "--arm-model-left", str(array)]]
+             ["gen", "--arm-model-left", str(array)],
+             ["--config", str(nested), "gen"],
+             ["gen", "--world", str(nested)],
+             ["gen", "--arm-model-left", str(nested)]]
     cases += [["gen", "--world", str(tmp_path / f"{name}.json")] for name in
               ("text_knots", "text_drop_factor", "text_jitter",
                "short_box_dims", "short_shelf_center", "zero_lock_tol",
@@ -173,7 +178,8 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
                "far_retreat_up", "far_box_dims")]
     # arm documents: a name that is no string, joint limits that are no 7 x 2
     # array, integers too large for a float, an overflowing base rotation, a
-    # zero or vanishing SEW pole and a NaN joint limit
+    # zero or vanishing SEW pole, a NaN joint limit and a joint axis that is
+    # neither z nor y, if only by 1e-13
     limits = arm["joint_limits_deg"]
     arm_docs = [dict(arm, name=5),
                 *(dict(arm, joint_limits_deg=v)
@@ -186,6 +192,7 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
                                          rpy_deg=[0, 0, "1e400"])),
                 dict(arm, sew_pole=[0, 0, 0]), dict(arm, sew_pole=[1e-320, 0, 0]),
                 dict(arm, joint_limits_deg=[[math.nan, 170], *limits[1:]]),
+                dict(arm, joint_axes=[[0, 1e-13, 1], *arm["joint_axes"][1:]]),
                 # geometry beyond a few metres, whose norms would overflow
                 dict(arm, sew_pole=[1e308, 0, 0]),
                 dict(arm, joint_axes=[[0, 0, 1e308], *arm["joint_axes"][1:]]),
@@ -363,13 +370,17 @@ def test_eval_empty_dataset_is_data_error(tmp_path):
     assert code == cli.EXIT_DATA
 
 
-def test_eval_malformed_dataset_is_data_error(clean_run, tmp_path):
+def test_eval_malformed_dataset_is_data_error(clean_run, tmp_path, capsys):
+    """A truncated record, and one nested too deeply for the JSON parser."""
     broken = tmp_path / "broken.jsonl"
     text = (clean_run / "episodes.jsonl").read_text().splitlines()
-    text[1] = text[1][:40]
-    broken.write_text("\n".join(text) + "\n")
-    code = run(["eval", "--in", str(broken), "--out-dir", str(tmp_path / "o")])
-    assert code == cli.EXIT_DATA
+    for record in (text[1][:40], "[" * 100_000):
+        broken.write_text("\n".join([text[0], record, *text[2:]]) + "\n")
+        code = run(["eval", "--in", str(broken),
+                    "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert err.startswith("data error: line 2: ") and err.count("\n") == 1
 
 
 def test_curvature_analysis_ranges(clean_run, tmp_path):

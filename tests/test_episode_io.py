@@ -137,11 +137,12 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
     assert cli.main(["perturb", "--in", str(path), "--level", "1",
                      "--out-dir", str(tmp_path / "out")]) == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith("data error: line 2: step 3:")
-    # records that passed every stage, or ended in a traceback: step times
-    # that are not their indices, an unknown event kind or arm, integers
-    # too large for a float, a command channel given as text or a boolean,
-    # an unknown key in the record, a step or an event, and an integer
-    # beyond the JSON reader's digit limit
+    # records that passed every stage, or ended in a traceback or a
+    # numerical failure: step times that are not their indices, an unknown
+    # event kind or arm, integers too large for a float, a box_init beyond
+    # 10 in magnitude, a command channel given as text or a boolean, an
+    # unknown key in the record, a step or an event, and an integer beyond
+    # the JSON reader's digit limit
     def steps_t(times):
         return lambda rec: [s.update(t=times(i))
                             for i, s in enumerate(rec["steps"])]
@@ -162,6 +163,8 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
         lambda rec: rec["steps"][3]["act"].__setitem__(2, "0.5"),
         lambda rec: rec["steps"][3]["obs"].__setitem__(0, True),
         meta("box_init", [huge, 0.6, 0.0]), meta("psi_left", huge),
+        meta("box_init", [1e308, 0.6, 0.0]),
+        meta("box_init", [0.0, -1e308, 0.0]),
         lambda rec: rec.update(bogus=1), step("bogus", 1),
         lambda rec: rec["events"][0].update(bogus=1)]]
     texts.append(edited(lambda rec: rec.update(dt="DIGITS")).replace(
@@ -224,7 +227,8 @@ def episodes(draw):
         Event, st.integers(0, n - 1), st.sampled_from(EVENT_KINDS),
         st.sampled_from(["left", "right", None])), max_size=4))
     psi = st.floats(-math.pi, math.pi)
-    metadata = {"box_init": draw(st.lists(finite, min_size=3, max_size=3)),
+    metadata = {"box_init": draw(st.lists(st.floats(-10.0, 10.0), min_size=3,
+                                          max_size=3)),
                 "control_arm": draw(st.sampled_from(["left", "right"])),
                 "psi_left": draw(psi), "psi_right": draw(psi),
                 "branch": draw(st.lists(st.booleans(), min_size=3,

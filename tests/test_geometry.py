@@ -70,9 +70,8 @@ def test_log_dual_matches_float_at_branch_switches(cut, side, rel, b, s):
     x = _zyz_turning_by(cut * (1.0 + side * rel), b, s)
     angle = geo.rotation_angle(np.array(_zyz(x)))
     assert (angle > cut) == (side > 0.0)
-    val, jac, _ = ad.value_jacobian_hessian(_log_of_zyz, x, ad.DiffConfig("dual"))
-    val_fd, jac_fd, _ = ad.value_jacobian_hessian(_log_of_zyz, x,
-                                                  ad.DiffConfig("fd"))
+    val, jac, _ = ad.value_jacobian_hessian(_log_of_zyz, x)
+    val_fd, jac_fd, _ = ad.value_jacobian_hessian(_log_of_zyz, x, 1e-5)
     assert np.abs(val - val_fd).max() <= 1e-15
     assert np.abs(jac - jac_fd).max() <= 1e-6
 
@@ -192,7 +191,7 @@ def test_pose_parts_are_read_only():
     built, composed or inverted pose rejects writes into its arrays."""
     rng = np.random.default_rng(7)
     p = Pose(geo.random_rotation(rng), rng.normal(size=3))
-    for pose in (p, p @ p, p.inverse(), Pose.identity()):
+    for pose in (p, p @ p, p.inverse(), Pose(np.eye(3), np.zeros(3))):
         for part in (pose.rotation, pose.translation):
             with pytest.raises(ValueError):
                 part[0] = 0.0

@@ -13,11 +13,13 @@ from bilock.geometry import Pose, geodesic_distance, so3_exp
 from conftest import fk_oracle, random_joint_config
 
 
-def zero_offset_arm(base=Pose.identity()):
-    zero = Pose.identity()
+IDENTITY = Pose(np.eye(3), np.zeros(3))
+
+
+def zero_offset_arm(base=IDENTITY):
     return kin.ArmModel(
         name="degenerate", base_pose=base,
-        joint_offsets=[zero] * 8,
+        joint_offsets=[IDENTITY] * 8,
         joint_axes=np.tile([0.0, 0.0, 1.0], (7, 1)),
         joint_limits=np.tile([-math.pi, math.pi], (7, 1)))
 
@@ -68,11 +70,10 @@ def test_generic_fk_matches_float_path(model):
 
 
 def test_jacobian_single_joint_lever_arm():
-    zero = Pose.identity()
-    offsets = [zero] * 8
+    offsets = [IDENTITY] * 8
     offsets[7] = Pose(np.eye(3), [1.0, 0.0, 0.0])
     arm = kin.ArmModel(
-        name="lever", base_pose=Pose.identity(), joint_offsets=offsets,
+        name="lever", base_pose=IDENTITY, joint_offsets=offsets,
         joint_axes=np.tile([0.0, 0.0, 1.0], (7, 1)),
         joint_limits=np.tile([-math.pi, math.pi], (7, 1)))
     jac = kin.geometric_jacobian(arm, np.zeros(7))
@@ -149,14 +150,13 @@ def test_sew_joint7_invariance(model):
 
 
 def test_sew_degenerate_raises():
-    zero = Pose.identity()
-    offsets = [zero] * 8
+    offsets = [IDENTITY] * 8
     offsets[0] = Pose(np.eye(3), [0.0, 0.0, 0.36])
     offsets[3] = Pose(np.eye(3), [0.0, 0.0, 0.40])
     offsets[4] = Pose(np.eye(3), [0.0, 0.0, 0.40])
     offsets[7] = Pose(np.eye(3), [0.0, 0.0, 0.126])
     arm = kin.ArmModel(
-        name="folding", base_pose=Pose.identity(), joint_offsets=offsets,
+        name="folding", base_pose=IDENTITY, joint_offsets=offsets,
         joint_axes=np.array([[0, 0, 1], [0, 1, 0], [0, 0, 1], [0, 1, 0],
                              [0, 0, 1], [0, 1, 0], [0, 0, 1]], dtype=float),
         joint_limits=np.tile([-math.pi, math.pi], (7, 1)))
