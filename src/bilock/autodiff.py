@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import EvaluationFailure
+from .errors import BilockError, NumericalFailure
 
 
 class Dual2:
@@ -155,12 +155,14 @@ def seed_duals2(x):
 # --- the derivative front end ---
 
 def _call(f, x):
+    """f(x) as an array; a library error or RuntimeWarning passes unchanged,
+    any other exception becomes a ``NumericalFailure``."""
     try:
         return np.asarray(f(x), dtype=object if x.dtype == object else float)
-    except (EvaluationFailure, KeyboardInterrupt, RuntimeWarning):
+    except (BilockError, RuntimeWarning):
         raise
     except Exception as exc:
-        raise EvaluationFailure(f"function raised at probe point: {exc}") from exc
+        raise NumericalFailure(f"function raised at probe point: {exc}") from exc
 
 
 def _dual_pass(f, x):

@@ -19,7 +19,7 @@ import numpy as np
 from . import geometry as geo
 from . import kinematics as kin
 from .episodes import JOINTS
-from .errors import BilockError
+from .errors import IkFailure
 from .geometry import Pose, pose_error
 
 
@@ -101,7 +101,7 @@ def subordinate_command(model, lock, control_pose, psi_sub,
     try:
         q = kin.inverse_kinematics(sub_model, target, psi_sub, branch,
                                    enforce_limits=True)
-    except BilockError:
+    except IkFailure:
         return prev_sub, True
     achieved = kin.forward_kinematics(sub_model, q)
     rel = control_pose.inverse() @ achieved

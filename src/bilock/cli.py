@@ -30,16 +30,11 @@ from . import stats as st
 from . import worldsim as ws
 from .configio import load_models, load_pipeline_config
 from .episodes import read_episodes, write_episodes, write_records
-from .errors import (BilockError, EmptyDataset, IkFailureDuringPerturb,
-                     InsufficientCategory, MalformedRecord, RankDeficient,
-                     SchemaMismatch)
+from .errors import (BilockError, ConfigError, DataError,
+                     InsufficientCategory, NumericalFailure, RankDeficient)
 from .seeding import rng_from
 
 CONFIG_ENV = "BILOCK_CONFIG"
-
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
 
 
 def _episode_task(args):
@@ -143,7 +138,7 @@ def run_curvature(cfg, model, world_cfg, episodes, out):
     try:
         analysis["pearson"] = st.pearson(ks, res)
         analysis["spearman"] = st.spearman(ks, res)
-    except BilockError as exc:
+    except NumericalFailure as exc:
         analysis["pearson"] = analysis["spearman"] = None
         analysis["correlation_error"] = str(exc)
     series_k = [[r["kretschmann"] for r in s] for s in all_series]
@@ -173,7 +168,7 @@ class _Parser(argparse.ArgumentParser):
     """Argument errors end like every other config error: one line, exit 2."""
 
     def error(self, message):
-        self.exit(EXIT_CONFIG, f"config error: {message}\n")
+        self.exit(ConfigError.code, f"{ConfigError.prefix}: {message}\n")
 
 
 def build_parser():
@@ -234,8 +229,8 @@ def main(argv=None):
         cfg = load_pipeline_config(args.config, overrides)
         model, world_cfg = load_models(cfg)
     except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"{ConfigError.prefix}: {exc}", file=sys.stderr)
+        return ConfigError.code
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -243,22 +238,19 @@ def main(argv=None):
             if args.command != "gen":
                 episodes = read_episodes(args.in_dataset)
                 if not episodes:
-                    raise EmptyDataset("input dataset holds no episodes")
+                    raise DataError("input dataset holds no episodes")
             out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             print(STAGES[args.command](cfg, model, world_cfg, episodes, out))
     except OSError as exc:  # a missing --in file, an out-dir that is a file
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (MalformedRecord, SchemaMismatch, EmptyDataset) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (RankDeficient, IkFailureDuringPerturb, RuntimeWarning) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        print(f"{ConfigError.prefix}: {exc}", file=sys.stderr)
+        return ConfigError.code
+    except RuntimeWarning as exc:
+        print(f"{NumericalFailure.prefix}: {exc}", file=sys.stderr)
+        return NumericalFailure.code
     except BilockError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.code
     return 0
 
 

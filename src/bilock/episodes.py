@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedRecord, SchemaMismatch
+from .errors import DataError, MalformedRecord
 from .schema import BOOL, TEXT, array, choice, num, parse_json, seq, table
 
 EPISODE_SCHEMA = "episode_v1"
@@ -98,7 +98,7 @@ RECORD = table({"schema_version": choice(EPISODE_SCHEMA), "model_ref": TEXT,
 
 def episode_from_record(rec):
     if rec.get("schema_version") != EPISODE_SCHEMA:
-        raise SchemaMismatch(
+        raise DataError(
             f"unsupported episode schema {rec.get('schema_version')!r}")
     checked = RECORD(rec)
     steps, events = checked["steps"], checked["events"]
@@ -165,7 +165,7 @@ def read_episodes(path, return_header=False):
                 raise MalformedRecord("record is not a JSON object", lineno)
             if lineno == 1:
                 if rec.get("schema_version") != DATASET_SCHEMA:
-                    raise SchemaMismatch(
+                    raise DataError(
                         f"unsupported dataset schema {rec.get('schema_version')!r}")
                 header = rec
                 continue

@@ -1,116 +1,57 @@
-"""Exception types shared across the toolkit."""
+"""Exception types: one base per exit code, carrying the code and prefix.
+
+A stage failure is a ``ConfigError`` (exit 2: the configs, world or arm
+models cannot be served), a ``DataError`` (exit 3: an unusable dataset) or
+a ``NumericalFailure`` (exit 4: a computation left its sound domain);
+``cli.main`` prints ``f"{exc.prefix}: {exc}"`` and returns ``exc.code``.
+A subclass exists only where a caller tells it apart or for an attribute.
+"""
+
+EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
 
 
 class BilockError(Exception):
-    """Base class for all library errors."""
+    """Root of the three bases; never raised itself."""
 
 
-# --- geometry / differentiation ---
-
-class RotationNearPi(BilockError):
-    """Rotation log requested within 1e-6 rad of the pi singularity."""
+class ConfigError(BilockError):
+    code, prefix = EXIT_CONFIG, "config error"
 
 
-class EvaluationFailure(BilockError):
-    """User-supplied function raised while being differentiated."""
+class DataError(BilockError):
+    code, prefix = EXIT_DATA, "data error"
 
 
-# --- kinematics ---
-
-class Unreachable(BilockError):
-    """Wrist target outside the reachable annulus of the arm."""
+class NumericalFailure(BilockError):
+    code, prefix = EXIT_NUMERIC, "numerical failure"
 
 
-class ElbowSingular(BilockError):
-    """Elbow angle within tolerance of 0 or pi; IK conditioning degraded."""
+class IkFailure(ConfigError):
+    """No analytic IK solution for a flange pose.  ``reason`` is
+    ``unreachable``, ``elbow_singular``, ``degenerate_sew`` or
+    ``joint_limits`` (offending 0-based joint ``indices``).  Only ``gen``
+    lets one through, and its only inputs are the configs."""
 
-
-class DegenerateSEW(BilockError):
-    """Shoulder and wrist coincide; the SEW angle is undefined."""
-
-
-class JointLimitViolation(BilockError):
-    """IK solution violates joint limits.
-
-    Attributes:
-        indices: offending joint indices (0-based).
-    """
-
-    def __init__(self, msg, indices):
+    def __init__(self, reason, msg, indices=()):
         super().__init__(msg)
+        self.reason = reason
         self.indices = tuple(indices)
 
 
-# --- world simulation / episodes ---
-
-class UnreachableGrasp(BilockError):
-    """Box initial pose admits no IK solution for a grasp pose."""
-
-
-class PathInfeasible(BilockError):
-    """A scripted waypoint segment has no IK solution on the fixed branch."""
-
-
-class SchemaMismatch(BilockError):
-    """Serialized record carries an unsupported schema version."""
-
-
-class MalformedRecord(BilockError):
-    """Unparseable dataset record.
-
-    Attributes:
-        line: 1-based line number in the offending file.
-    """
+class MalformedRecord(DataError):
+    """Unparseable dataset record at 1-based file ``line``."""
 
     def __init__(self, msg, line):
         super().__init__(f"line {line}: {msg}")
         self.line = line
 
 
-# --- perturbation ---
-
-class IkFailureDuringPerturb(BilockError):
-    """Perturbed pose unreachable; exceeds the tolerated failure budget."""
-
-
-# --- metrics / statistics ---
-
-class EmptyDataset(BilockError):
-    """Operation requires at least one episode."""
-
-
-class NoTransportPhase(BilockError):
-    """Episode contains no transport-phase knots."""
-
-
-class MissingEventLog(BilockError):
-    """Episode carries no world event log to classify."""
-
-
-class InvalidCounts(BilockError):
-    """Success/trial counts are inconsistent."""
-
-
-class DegenerateSample(BilockError):
-    """Sample too small or with zero variance for the statistic."""
-
-
-class GridTooCoarse(BilockError):
-    """Density mass is not resolved by the quadrature grid."""
-
-
-class InsufficientCategory(BilockError):
+class InsufficientCategory(DataError):
     """An outcome category has too few rollouts for density estimation."""
 
 
-# --- manifold ---
-
-class RankDeficient(BilockError):
-    """Constraint Jacobian is rank deficient at the query point.
-
-    Attributes:
-        sigma_min: smallest singular value observed.
-    """
+class RankDeficient(NumericalFailure):
+    """Rank-deficient constraint Jacobian; smallest singular ``sigma_min``."""
 
     def __init__(self, msg, sigma_min):
         super().__init__(f"{msg} (sigma_min={sigma_min:.3e})")

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .errors import BilockError, RotationNearPi
+from .errors import NumericalFailure
 
 # Below this angle the log/exp maps switch to series expansions.
 _SMALL_ANGLE = 1.4e-2
@@ -48,7 +48,7 @@ def so3_exp(w):
     with np.errstate(over="ignore"):
         th2 = float(w @ w)
     if not math.isfinite(th2):
-        raise BilockError("rotation vector is not finite (or overflows)")
+        raise NumericalFailure("rotation vector is not finite (or overflows)")
     if th2 < _SMALL_ANGLE ** 2:
         # sinc and versine series in theta^2; error O(theta^6)
         a = 1.0 - th2 / 6.0 * (1.0 - th2 / 20.0)
@@ -68,7 +68,7 @@ def so3_log(r):
     branches switch on the primal angle only, so the map is
     dual-differentiable everywhere below pi - 1e-6; the series branch keeps
     it smooth through the identity, where the constraint residual lives.
-    Raises RotationNearPi beyond, where the axis sign becomes ill-defined.
+    Raises NumericalFailure beyond, where the axis sign becomes ill-defined.
     """
     a = [(r[2][1] - r[1][2]) * 0.5,  # sin(theta) * axis
          (r[0][2] - r[2][0]) * 0.5,
@@ -77,7 +77,7 @@ def so3_log(r):
     s2 = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
     th_val = math.atan2(math.sqrt(ad.value(s2)), ad.value(c))
     if th_val > math.pi - _PI_MARGIN:
-        raise RotationNearPi(f"rotation angle {th_val:.9f} within 1e-6 of pi")
+        raise NumericalFailure(f"rotation angle {th_val:.9f} within 1e-6 of pi")
     if th_val < _SMALL_ANGLE:
         u = 1.0 - c
         # theta/sin(theta) as a series in (1 - cos theta)

@@ -30,8 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry as geo
-from .errors import (DegenerateSEW, ElbowSingular, JointLimitViolation,
-                     Unreachable)
+from .errors import IkFailure
 from .geometry import Pose
 from .schema import (GEOMETRY, TEXT, array, choice, document, parse_json,
                      seq, spec, table)
@@ -202,7 +201,8 @@ def _shortest_arc(u, v):
 
 def _sew_reference(u, pole, zero_dir):
     if float(pole @ u) > 1.0 - 1e-9:
-        raise DegenerateSEW("wrist direction on the SEW singular ray")
+        raise IkFailure("degenerate_sew",
+                        "wrist direction on the SEW singular ray")
     return _shortest_arc(-pole, u) @ zero_dir
 
 
@@ -210,12 +210,13 @@ def _sew_azimuth(s, e, w, pole, zero_dir):
     sw = w - s
     dist = np.linalg.norm(sw)
     if dist < 1e-6:
-        raise DegenerateSEW("shoulder and wrist coincide")
+        raise IkFailure("degenerate_sew", "shoulder and wrist coincide")
     u = sw / dist
     pe = (e - s) - ((e - s) @ u) * u
     n = np.linalg.norm(pe)
     if n < 1e-9:
-        raise DegenerateSEW("elbow lies on the shoulder-wrist line")
+        raise IkFailure("degenerate_sew",
+                        "elbow lies on the shoulder-wrist line")
     pe /= n
     ref = _sew_reference(u, pole, zero_dir)
     return math.atan2(float(u @ np.cross(ref, pe)), float(ref @ pe))
@@ -284,15 +285,17 @@ def inverse_kinematics(model, target, psi, branch=IkBranch(),
     sw = wrist - s
     dist = float(np.linalg.norm(sw))
     if dist < 1e-6:
-        raise DegenerateSEW("wrist target coincides with the shoulder")
+        raise IkFailure("degenerate_sew",
+                        "wrist target coincides with the shoulder")
     if not (abs(a - b) + _REACH_MARGIN <= dist <= a + b - _REACH_MARGIN):
-        raise Unreachable(
-            f"wrist target at {dist:.6f} m outside annulus "
+        raise IkFailure(
+            "unreachable", f"wrist target at {dist:.6f} m outside annulus "
             f"[{abs(a - b):.6f}, {a + b:.6f}]")
     cos4 = (dist * dist - a * a - b * b) / (2.0 * a * b)
     q4_mag = math.acos(min(1.0, max(-1.0, cos4)))
     if q4_mag < _ELBOW_MARGIN or q4_mag > math.pi - _ELBOW_MARGIN:
-        raise ElbowSingular(f"elbow angle {q4_mag:.3e} within margin of 0 or pi")
+        raise IkFailure("elbow_singular",
+                        f"elbow angle {q4_mag:.3e} within margin of 0 or pi")
     q4 = -q4_mag if branch.elbow_flip else q4_mag
 
     u = sw / dist
@@ -311,8 +314,8 @@ def inverse_kinematics(model, target, psi, branch=IkBranch(),
         lo, hi = model.joint_limits[:, 0], model.joint_limits[:, 1]
         bad = np.nonzero((q < lo) | (q > hi))[0]
         if bad.size:
-            raise JointLimitViolation(
-                f"joints {bad.tolist()} outside limits", bad.tolist())
+            raise IkFailure("joint_limits",
+                            f"joints {bad.tolist()} outside limits", bad)
     return q
 
 

@@ -24,7 +24,7 @@ from . import bimanual as bm
 from . import geometry as geo
 from .autodiff import value_jacobian_hessian
 from .episodes import Q14
-from .errors import NoTransportPhase, RankDeficient
+from .errors import DataError, RankDeficient
 
 RANK_TOL = 1e-8
 
@@ -69,7 +69,7 @@ def constraint_for_episode(model, episode):
     configuration (the configuration holding the box when carrying starts)."""
     transport = episode.transport_indices()
     if not transport:
-        raise NoTransportPhase("episode has no transport phase to anchor on")
+        raise DataError("episode has no transport phase to anchor on")
     return make_constraint(model, episode.act[transport[0], Q14])
 
 
@@ -151,7 +151,7 @@ def rollout_curvature_series(f, episode, fd_step=None, rank_tol=RANK_TOL,
     """
     transport = episode.transport_indices()
     if not transport:
-        raise NoTransportPhase("episode has no transport-phase knots")
+        raise DataError("episode has no transport-phase knots")
     records = []
     gaps = []
     for t in transport[::knot_stride]:

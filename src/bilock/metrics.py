@@ -16,8 +16,7 @@ import numpy as np
 
 from . import bimanual as bm
 from .episodes import BOX_DROP, GRASP_ATTACH, GRASP_DETACH, PLACED, Q14
-from .errors import (EmptyDataset, InvalidCounts, MissingEventLog,
-                     NoTransportPhase)
+from .errors import DataError
 from .geometry import pose_error
 
 CATEGORIES = ("I", "II", "III", "IV")
@@ -34,7 +33,7 @@ def violation_profile(model, episode, window=16, stride=None):
         stride = max(1, window // 2)
     transport = episode.transport_indices()
     if not transport:
-        raise NoTransportPhase("episode has no transport-phase knots")
+        raise DataError("episode has no transport-phase knots")
     rels = [bm.relative_of_q14(model, q) for q in episode.act[transport, Q14]]
     errs = [pose_error(x, rels[start])
             for start in range(0, len(transport), stride)
@@ -52,7 +51,7 @@ def classify_outcome(episode):
     IV:  anything else (the box was never carried to the shelf).
     """
     if episode.events is None:
-        raise MissingEventLog("episode carries no event log")
+        raise DataError("episode carries no event log")
     placed = any(e.kind == PLACED for e in episode.events)
     attaches = sum(1 for e in episode.events if e.kind == GRASP_ATTACH)
     dropped = any(e.kind == BOX_DROP for e in episode.events)
@@ -69,9 +68,9 @@ def classify_outcome(episode):
 def wilson_interval(successes, trials, confidence=0.95):
     """Wilson score interval for a binomial proportion."""
     if trials < 1 or not 0 <= successes <= trials:
-        raise InvalidCounts(f"bad counts {successes}/{trials}")
+        raise DataError(f"bad counts {successes}/{trials}")
     if not 0.0 < confidence < 1.0:
-        raise InvalidCounts("confidence must lie in (0, 1)")
+        raise DataError("confidence must lie in (0, 1)")
     z = NormalDist().inv_cdf(0.5 * (1.0 + confidence))
     n = trials
     p = successes / n
@@ -101,9 +100,9 @@ def aggregate_report(episodes, profiles, outcomes, window=16, stride=8,
     """The ``eval_report_v1`` document: category counts, Wilson CI and the
     violation table of the profiles."""
     if not episodes:
-        raise EmptyDataset("cannot aggregate an empty episode list")
+        raise DataError("cannot aggregate an empty episode list")
     if not (len(episodes) == len(profiles) == len(outcomes)):
-        raise InvalidCounts("episodes, profiles, outcomes length mismatch")
+        raise DataError("episodes, profiles, outcomes length mismatch")
     counts = {c: 0 for c in CATEGORIES}
     for o in outcomes:
         counts[o] += 1

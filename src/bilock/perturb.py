@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kinematics as kin
 from .episodes import JOINTS
-from .errors import BilockError, EmptyDataset, IkFailureDuringPerturb
+from .errors import DataError, IkFailure, NumericalFailure
 from .geometry import Pose, so3_exp
 from .metrics import violation_profile, violation_table
 from .seeding import rng_from
@@ -56,10 +56,11 @@ def ou_path(eta, n_steps, seed):
         raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
     rng = rng_from(seed)
     rho = 1.0 - OU_ALPHA
+    noise = rng.standard_normal((max(n_steps - 1, 0), 6))
     unit = np.zeros((n_steps, 6))
     z = np.zeros(6)
     for k in range(1, n_steps):
-        z = rho * z + rng.standard_normal(6)
+        z = rho * z + noise[k - 1]
         unit[k] = z
     return unit * np.array([eta] * 3 + [eta * ROT_SCALE] * 3)
 
@@ -77,7 +78,9 @@ def perturb_episode(model, episode, level, eta, seed):
     level is the metadata tag of the volatility eta: a level index, or
     "raw".  Non-transport phases, observations, gripper channels, and the
     control arm are untouched.  Knots whose perturbed pose has no IK
-    solution are left clean and counted in metadata["ik_failures"].
+    solution (an ``IkFailure``) are left clean and counted in
+    metadata["ik_failures"]; any other failure, such as a rotation vector
+    that overflows, ends the call.
     """
     out = dataclasses.replace(episode, act=episode.act.copy(), metadata={
         **episode.metadata, "perturbation_level": level, "eta": eta,
@@ -104,7 +107,7 @@ def perturb_episode(model, episode, level, eta, seed):
             q_new = kin.inverse_kinematics(
                 sub_model, pose @ Pose(so3_exp(z[3:]), z[:3]), psi, branch,
                 enforce_limits=False)
-        except BilockError:
+        except IkFailure:
             failures += 1
             continue
         out.act[idx, JOINTS[sub]] = q_new
@@ -121,7 +124,7 @@ def perturb_dataset(model, episodes, level, eta, master_seed):
     failures = sum(pe.metadata["ik_failures"] for pe in out)
     knots = sum(len(pe.transport_indices()) for pe in out)
     if knots and failures / knots > MAX_FAILURE_RATE:
-        raise IkFailureDuringPerturb(
+        raise NumericalFailure(
             f"{failures}/{knots} perturbed knots lost to IK failure "
             f"(> {MAX_FAILURE_RATE:.1%}); workspace margins too tight "
             "for this volatility")
@@ -132,7 +135,7 @@ def dataset_violation_summary(model, episodes, window=16, stride=8):
     """Violation-table row for a dataset, plus the number of per-knot
     errors it pools."""
     if not episodes:
-        raise EmptyDataset("violation summary of an empty dataset")
+        raise DataError("violation summary of an empty dataset")
     profiles = [violation_profile(model, ep, window=window, stride=stride)
                 for ep in episodes]
     summary = violation_table(profiles)

@@ -13,17 +13,17 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateSample, GridTooCoarse, InsufficientCategory
+from .errors import InsufficientCategory, NumericalFailure
 
 
 def scott_bandwidth(samples):
     """h = sigma_hat * n^(-1/5) with the 1-D sample standard deviation."""
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
-        raise DegenerateSample("Scott's rule needs at least 2 samples")
+        raise NumericalFailure("Scott's rule needs at least 2 samples")
     sd = float(x.std(ddof=1))
     if sd == 0.0:
-        raise DegenerateSample("Scott's rule needs nonzero variance")
+        raise NumericalFailure("Scott's rule needs nonzero variance")
     return sd * x.size ** (-0.2)
 
 
@@ -31,7 +31,7 @@ def kde_pdf(samples, bandwidth, xs):
     """Gaussian kernel density estimate of samples, evaluated at xs."""
     samples = np.asarray(samples, dtype=float).reshape(-1)
     if samples.size == 0:
-        raise DegenerateSample("KDE of an empty sample")
+        raise NumericalFailure("KDE of an empty sample")
     if not bandwidth > 0.0:
         raise ValueError("bandwidth must be positive")
     z = (np.asarray(xs, dtype=float)[..., None] - samples) / bandwidth
@@ -58,7 +58,7 @@ def js_divergence(densities, xs):
     for i, vals in enumerate(densities):
         mass = float(np.trapezoid(vals, xs))
         if abs(mass - 1.0) > 1e-2:
-            raise GridTooCoarse(
+            raise NumericalFailure(
                 f"density {i} integrates to {mass:.4f} on the grid")
         ps.append(vals / mass)
     mean = np.mean(ps, axis=0)
@@ -70,13 +70,13 @@ def pearson(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.size < 2:
-        raise DegenerateSample("pearson needs two equal-length samples, n >= 2")
+        raise NumericalFailure("pearson needs two equal-length samples, n >= 2")
     dx = x - x.mean()
     dy = y - y.mean()
     vx = float(dx @ dx)
     vy = float(dy @ dy)
     if vx == 0.0 or vy == 0.0:
-        raise DegenerateSample("pearson needs nonzero variances")
+        raise NumericalFailure("pearson needs nonzero variances")
     return float((dx @ dy) / math.sqrt(vx * vy))
 
 
@@ -99,14 +99,14 @@ def spearman(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.size < 2:
-        raise DegenerateSample("spearman needs two equal-length samples, n >= 2")
+        raise NumericalFailure("spearman needs two equal-length samples, n >= 2")
     return pearson(_average_ranks(x), _average_ranks(y))
 
 
 def _category_bandwidth(values):
     try:
         return scott_bandwidth(values)
-    except DegenerateSample:
+    except NumericalFailure:
         # degenerate (constant) statistic: any common spread keeps the
         # identical-density JS at zero while the grid stays valid
         scale = max(1.0, float(np.abs(values).max()))

@@ -29,7 +29,7 @@ from . import bimanual as bm
 from . import kinematics as kin
 from .episodes import (ANGLE, BOX_DROP, CMD_DIM, GRASP_ATTACH, GRASP_DETACH,
                        GRIP, JOINTS, PLACED, Q14, Episode, Event)
-from .errors import BilockError, PathInfeasible, UnreachableGrasp
+from .errors import ConfigError, IkFailure
 from .geometry import Pose, pose_error, so3_exp, so3_log
 from .schema import GEOMETRY, choice, document, num, parse_json, spec, table
 from .seeding import rng_from
@@ -381,8 +381,8 @@ def _script_to_actions(model, cfg, knots, grasp_poses, approach_poses):
             try:
                 solved[label, side] = kin.inverse_kinematics(
                     model.arm(side), pose, cfg.psi(side), branch)
-            except BilockError as exc:
-                raise UnreachableGrasp(
+            except IkFailure as exc:
+                raise ConfigError(
                     f"{side} {label} pose infeasible: {exc}") from exc
 
     grasp_q = {side: solved["grasp", side] for side in JOINTS}
@@ -397,14 +397,14 @@ def _script_to_actions(model, cfg, knots, grasp_poses, approach_poses):
         try:
             q[control] = kin.inverse_kinematics(
                 model.arm(control), ctrl_pose, cfg.psi(control), branch)
-        except BilockError as exc:
-            raise PathInfeasible(
+        except IkFailure as exc:
+            raise ConfigError(
                 f"control arm IK failed at knot {i} ({knot.phase}): {exc}") from exc
         if knot.lock:
             q_sub, held = bm.subordinate_command(
                 model, lock, ctrl_pose, cfg.psi(sub), branch, prev[sub])
             if held:
-                raise PathInfeasible(
+                raise ConfigError(
                     f"subordinate hold at knot {i} ({knot.phase}); "
                     "clean demonstrations must track the lock exactly")
             q[sub] = q_sub
@@ -412,8 +412,8 @@ def _script_to_actions(model, cfg, knots, grasp_poses, approach_poses):
             try:
                 q[sub] = kin.inverse_kinematics(
                     model.arm(sub), knot.poses[sub], cfg.psi(sub), branch)
-            except BilockError as exc:
-                raise PathInfeasible(
+            except IkFailure as exc:
+                raise ConfigError(
                     f"subordinate IK failed at knot {i} ({knot.phase}): {exc}") from exc
         prev.update(q)
         actions.append(_command(q, knot.grip))
@@ -439,8 +439,9 @@ def _execute_from_home(model, cfg, init, actions, phases, locks, model_ref,
 def generate_demonstration(model, cfg, init, seed):
     """One clean transform-locked demonstration episode.
 
-    Deterministic in (model, cfg, init, seed); raises UnreachableGrasp or
-    PathInfeasible when the scripted motion is kinematically impossible.
+    Deterministic in (model, cfg, init, seed); raises ConfigError when the
+    scripted motion is kinematically impossible: a grasp or approach pose
+    without IK, an infeasible path, or a run that does not place the box.
     """
     rng = rng_from(seed)
     knots, grasps, approaches = _build_script(cfg, init, rng)
@@ -462,7 +463,7 @@ def generate_demonstration(model, cfg, init, seed):
         [k.lock for k in knots], f"{model.left.name}+{model.right.name}", meta)
     kinds = [e.kind for e in episode.events]
     if PLACED not in kinds or kinds.count(GRASP_ATTACH) != 2:
-        raise PathInfeasible(
+        raise ConfigError(
             f"generated demonstration did not complete the task "
             f"(events: {kinds}, init {init})")
     return episode

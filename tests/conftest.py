@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,19 @@ def clean_set(model, world_cfg):
         init = ws.sample_box_init(ws.TRAIN_DIST, ws.rng_from(5, i))
         eps.append(ws.generate_demonstration(model, world_cfg, init, seed=100 + i))
     return eps
+
+
+# the one-line stderr message of a failed stage starts with its code's prefix
+EXIT_PREFIXES = {2: "config error", 3: "data error", 4: "numerical failure"}
+
+
+@contextlib.contextmanager
+def raises_exactly(cls, match):
+    """``pytest.raises(cls, match=match)`` that no subclass of cls satisfies:
+    a failure raised as its base is told apart by its message alone."""
+    with pytest.raises(cls, match=match) as info:
+        yield info
+    assert type(info.value) is cls, type(info.value)
 
 
 def random_joint_config(arm, rng, scale=1.0):

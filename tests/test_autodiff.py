@@ -1,13 +1,12 @@
 import numpy as np
-import pytest
 
 from bilock import autodiff as ad
 from bilock import kinematics as kin
 from bilock.autodiff import (hessian_numeric, jacobian_numeric,
                              value_jacobian_hessian)
-from bilock.errors import EvaluationFailure
+from bilock.errors import NumericalFailure
 
-from conftest import random_joint_config
+from conftest import raises_exactly, random_joint_config
 
 FD_STEP = 1e-5  # the pipeline config's default fd_step
 
@@ -55,9 +54,9 @@ def test_dual_output_independent_of_input():
 def test_evaluation_failure_wrapped():
     def bad(x):
         raise RuntimeError("boom")
-    with pytest.raises(EvaluationFailure):
+    with raises_exactly(NumericalFailure, "function raised at probe point"):
         value_jacobian_hessian(bad, np.zeros(2))
-    with pytest.raises(EvaluationFailure):
+    with raises_exactly(NumericalFailure, "function raised at probe point"):
         hessian_numeric(bad, np.zeros(2), FD_STEP, 1)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from bilock import cli
 from bilock.configio import default_data_path
+from bilock.errors import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC
 from bilock.episodes import read_episodes, write_episodes
 
 
@@ -55,7 +56,7 @@ def test_gen_worker_count_invariant(clean_run, tmp_path):
 def test_missing_model_file_is_config_error(tmp_path, capsys):
     code = run(["gen", "--out-dir", str(tmp_path / "x"), "--n", "1",
                 "--arm-model-left", "/nonexistent/arm.json"])
-    assert code == cli.EXIT_CONFIG
+    assert code == EXIT_CONFIG
     assert "/nonexistent/arm.json" in capsys.readouterr().err
 
 
@@ -101,7 +102,11 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
                 "far_shelf_pre_offset": dict(world, shelf_pre_offset=3),
                 "far_retreat_back": dict(world, retreat_back=-3),
                 "far_retreat_up": dict(world, retreat_up=3),
-                "far_box_dims": dict(world, box_dims=[1e308, 0.2, 0.18])}
+                "far_box_dims": dict(world, box_dims=[1e308, 0.2, 0.18]),
+                # in range, yet no arm can serve the world: a shelf out of
+                # reach, a box too wide to grasp
+                "far_shelf": dict(world, shelf_center=[3.0, 0.6, 0.5]),
+                "wide_box": dict(world, box_dims=[1.9, 0.2, 0.2])}
     # degree values that are booleans, not numbers
     for key in ("grasp_pitch_deg", "grasp_eps_rot_deg", "retain_rot_deg"):
         bad_docs[f"bool_{key}"] = dict(world, **{key: True})
@@ -176,6 +181,8 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
                "negative_drop_factor", "low_drop_factor", "far_lift",
                "far_approach", "far_shelf_pre_offset", "far_retreat_back",
                "far_retreat_up", "far_box_dims")]
+    cases += [["gen", "--n", "1", "--world", str(tmp_path / f"{name}.json")]
+              for name in ("far_shelf", "wide_box")]
     # arm documents: a name that is no string, joint limits that are no 7 x 2
     # array, integers too large for a float, an overflowing base rotation, a
     # zero or vanishing SEW pole, a NaN joint limit and a joint axis that is
@@ -213,7 +220,7 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
     for args in cases:
         code = run(args + ["--out-dir", str(tmp_path / "x")])
         err = capsys.readouterr().err
-        assert code == cli.EXIT_CONFIG, args
+        assert code == EXIT_CONFIG, args
         assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
@@ -226,8 +233,10 @@ def test_overflowing_eta_is_one_line_numerical_failure(clean_run, tmp_path,
         code = run(["perturb", "--in", str(clean_run / "episodes.jsonl"),
                     "--out-dir", str(tmp_path / "o"), "--eta", "1e300"])
     err = capsys.readouterr().err
-    assert code == cli.EXIT_NUMERIC
+    assert code == EXIT_NUMERIC
     assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    assert err == ("numerical failure: rotation vector is not finite "
+                   "(or overflows)\n"), err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -235,7 +244,7 @@ def test_workers_is_a_gen_flag(clean_run, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["eval", "--in", str(clean_run / "episodes.jsonl"),
              "--out-dir", str(tmp_path / "o"), "--workers", "2"])
-    assert exc.value.code == cli.EXIT_CONFIG
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_flags_belong_to_the_stages_that_read_them(clean_run, tmp_path):
@@ -249,7 +258,7 @@ def test_flags_belong_to_the_stages_that_read_them(clean_run, tmp_path):
                  ["curvature", "--in", data, "--seed", "7"]):
         with pytest.raises(SystemExit) as exc:
             run(args + ["--out-dir", str(tmp_path / "o")])
-        assert exc.value.code == cli.EXIT_CONFIG, args
+        assert exc.value.code == EXIT_CONFIG, args
 
 
 def test_argument_errors_are_one_line_config_errors(clean_run, tmp_path,
@@ -263,7 +272,7 @@ def test_argument_errors_are_one_line_config_errors(clean_run, tmp_path,
         with pytest.raises(SystemExit) as exc:
             run(args + ["--out-dir", str(tmp_path / "o")])
         err = capsys.readouterr().err
-        assert exc.value.code == cli.EXIT_CONFIG, args
+        assert exc.value.code == EXIT_CONFIG, args
         assert err.startswith("config error: ") and err.count("\n") == 1, err
     for args in (["-h"], ["gen", "-h"]):
         with pytest.raises(SystemExit) as exc:
@@ -279,7 +288,7 @@ def test_failed_stage_leaves_no_partial_output(clean_run, tmp_path, capsys):
     code = run(["curvature", "--in", str(clean_run / "episodes.jsonl"),
                 "--out-dir", str(out), "--max-episodes", "1",
                 "--knot-stride", "10", "--rank-tol", "1e9"])
-    assert code == cli.EXIT_NUMERIC
+    assert code == EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numerical failure: ")
     assert not (out / "curvature_series.jsonl").exists()
     assert list(out.glob("*.tmp")) == []
@@ -363,11 +372,24 @@ def test_eval_clean_dataset(clean_run, tmp_path):
         == (out2 / "eval_report.json").read_bytes()
 
 
-def test_eval_empty_dataset_is_data_error(tmp_path):
+def test_eval_empty_dataset_is_data_error(clean_run, tmp_path, capsys):
+    """An empty dataset, and one whose record has no transport knots (its
+    transport phases relabelled approach), for eval and curvature."""
     empty = tmp_path / "empty.jsonl"
     write_episodes(empty, [])
     code = run(["eval", "--in", str(empty), "--out-dir", str(tmp_path / "o")])
-    assert code == cli.EXIT_DATA
+    assert code == EXIT_DATA
+    ep = read_episodes(clean_run / "episodes.jsonl")[0]
+    ep.phases = ["approach" if p == "transport" else p for p in ep.phases]
+    untransported = tmp_path / "untransported.jsonl"
+    write_episodes(untransported, [ep])
+    capsys.readouterr()
+    for stage in ("eval", "curvature"):
+        code = run([stage, "--in", str(untransported),
+                    "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, stage
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
 
 
 def test_eval_malformed_dataset_is_data_error(clean_run, tmp_path, capsys):
@@ -379,7 +401,7 @@ def test_eval_malformed_dataset_is_data_error(clean_run, tmp_path, capsys):
         code = run(["eval", "--in", str(broken),
                     "--out-dir", str(tmp_path / "o")])
         err = capsys.readouterr().err
-        assert code == cli.EXIT_DATA
+        assert code == EXIT_DATA
         assert err.startswith("data error: line 2: ") and err.count("\n") == 1
 
 
@@ -418,4 +440,4 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_episodez": 5}))
     code = run(["--config", str(cfg), "gen", "--out-dir", str(tmp_path / "o")])
-    assert code == cli.EXIT_CONFIG
+    assert code == EXIT_CONFIG

@@ -13,9 +13,11 @@ from bilock.configio import (PipelineConfig, default_data_path,
 from bilock.episodes import (EVENT_KINDS, PHASES, Episode, Event,
                              episode_from_record, episode_to_record,
                              read_episodes, write_episodes, write_records)
-from bilock.errors import MalformedRecord, SchemaMismatch
+from bilock.errors import EXIT_DATA, DataError, MalformedRecord
 from bilock.kinematics import load_arm_model
 from bilock.worldsim import load_world_config
+
+from conftest import EXIT_PREFIXES, raises_exactly
 
 
 def test_round_trip_bitwise(tmp_path, clean_set):
@@ -69,13 +71,13 @@ def test_unknown_schema_rejected(tmp_path, clean_set):
     lines = path.read_text().splitlines()
     lines[1] = lines[1].replace('"episode_v1"', '"episode_v999"')
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SchemaMismatch):
+    with raises_exactly(DataError, "unsupported episode schema"):
         read_episodes(path)
     bad_header = path.read_text().splitlines()
     bad_header[0] = bad_header[0].replace('"episode_dataset_v1"',
                                           '"episode_dataset_v999"')
     path.write_text("\n".join(bad_header) + "\n")
-    with pytest.raises(SchemaMismatch):
+    with raises_exactly(DataError, "unsupported dataset schema"):
         read_episodes(path)
 
 
@@ -135,7 +137,7 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
         assert exc.value.line == 2
     # perturb never reads gripper channels, so only the reader can stop them
     assert cli.main(["perturb", "--in", str(path), "--level", "1",
-                     "--out-dir", str(tmp_path / "out")]) == cli.EXIT_DATA
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
     assert capsys.readouterr().err.startswith("data error: line 2: step 3:")
     # records that passed every stage, or ended in a traceback or a
     # numerical failure: step times that are not their indices, an unknown
@@ -175,7 +177,7 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
             read_episodes(path)
         assert exc.value.line == 2
         assert cli.main(["eval", "--in", str(path),
-                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_DATA
+                         "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: line 2: ") and err.count("\n") == 1
     # a file that is not UTF-8, and a header that is not an object
@@ -186,7 +188,7 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
             read_episodes(path)
         assert exc.value.line == 1
         assert cli.main(["eval", "--in", str(path),
-                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_DATA
+                         "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: line 1: ") and err.count("\n") == 1
 
@@ -286,10 +288,10 @@ def test_single_field_replacement_reads_or_is_malformed(
     """Replacing any one field of a valid pipeline config, world or arm
     document or episode record with any of FUZZ_VALUES either loads or is
     rejected with the kind's own one-line error: ValueError for the
-    configs, MalformedRecord or SchemaMismatch for records.  A derandomized
-    sample of the accepted documents then runs through ``gen --n 1`` or a
-    one-record ``eval``, four of each kind, which ends with exit 0, 2, 3 or
-    4 and one stderr line unless it succeeds."""
+    configs, DataError for records.  A derandomized sample of the accepted
+    documents then runs through ``gen --n 1`` or a one-record ``eval``, four
+    of each kind, which ends with exit 0, or with exit 2, 3 or 4 and one
+    stderr line that carries the prefix of its code."""
     ranges = {"x_range": [-0.2, 0.2], "y_range": [0.55, 0.65],
               "theta_range": [-0.3, 0.3]}
     docs = {"pipeline": {**PipelineConfig().canonical_dict(), "workers": 1,
@@ -305,7 +307,7 @@ def test_single_field_replacement_reads_or_is_malformed(
     path = tmp_path / "doc.json"
     accepted = {kind: [] for kind in docs}
     for kind, doc in docs.items():
-        errors = ((MalformedRecord, SchemaMismatch) if kind == "record"
+        errors = (DataError if kind == "record"
                   else ValueError)
         for field in _field_paths(doc):
             for value in FUZZ_VALUES:
@@ -335,3 +337,4 @@ def test_single_field_replacement_reads_or_is_malformed(
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 4), (kind, field, value)
         assert err.count("\n") == (code != 0), (kind, field, value, err)
+        assert code == 0 or err.startswith(EXIT_PREFIXES[code] + ": "), err

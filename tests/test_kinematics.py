@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bilock import geometry as geo
 from bilock import kinematics as kin
-from bilock.errors import (DegenerateSEW, JointLimitViolation, Unreachable)
+from bilock.errors import IkFailure
 from bilock.geometry import Pose, geodesic_distance, so3_exp
 
 from conftest import fk_oracle, random_joint_config
@@ -162,8 +162,9 @@ def test_sew_degenerate_raises():
         joint_limits=np.tile([-math.pi, math.pi], (7, 1)))
     q = np.zeros(7)
     q[3] = math.pi  # equal links folded: wrist lands on the shoulder
-    with pytest.raises(DegenerateSEW):
+    with pytest.raises(IkFailure) as exc:
         kin.sew_angle(arm, q)
+    assert exc.value.reason == "degenerate_sew"
 
 
 # --- inverse kinematics ---
@@ -216,8 +217,9 @@ def test_ik_round_trip_near_shoulder_and_wrist_singularities(model, side, u,
 def test_ik_unreachable(model):
     pose = kin.forward_kinematics(model.left, np.zeros(7))
     far = Pose(pose.rotation, pose.translation + [0.0, 10.0, 0.0])
-    with pytest.raises(Unreachable):
+    with pytest.raises(IkFailure) as exc:
         kin.inverse_kinematics(model.left, far, 0.0)
+    assert exc.value.reason == "unreachable"
 
 
 def test_ik_joint_limit_violation_lists_joints(model):
@@ -233,8 +235,9 @@ def test_ik_joint_limit_violation_lists_joints(model):
         joint_limits=np.column_stack([np.minimum(q - 0.1, -0.2),
                                       np.maximum(q - 0.05, -0.1)]),
         sew_pole=arm.sew_pole, sew_zero_dir=arm.sew_zero_dir)
-    with pytest.raises(JointLimitViolation) as exc:
+    with pytest.raises(IkFailure) as exc:
         kin.inverse_kinematics(shrunk, pose, psi, branch)
+    assert exc.value.reason == "joint_limits"
     assert len(exc.value.indices) >= 1
     q2 = kin.inverse_kinematics(shrunk, pose, psi, branch, enforce_limits=False)
     assert np.abs(q2 - q).max() <= 1e-9

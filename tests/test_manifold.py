@@ -6,10 +6,10 @@ from bilock import kinematics as kin
 from bilock import manifold as mf
 from bilock import worldsim as ws
 from bilock.autodiff import value_jacobian_hessian
-from bilock.errors import NoTransportPhase, RankDeficient
+from bilock.errors import DataError, RankDeficient
 from bilock.geometry import Pose
 
-from conftest import fk_oracle, random_q14
+from conftest import fk_oracle, raises_exactly, random_q14
 
 
 def _poly_constraint(fn_scalars):
@@ -318,6 +318,6 @@ def test_rollout_requires_transport(model, clean_episode):
     ep = Episode("m", 0.1, clean_episode.obs[keep], clean_episode.act[keep],
                  ["approach"] * len(keep), [False] * len(keep), [], {})
     f = mf.make_constraint(model, np.zeros(14) + 0.3)
-    with pytest.raises(NoTransportPhase):
+    with raises_exactly(DataError, "no transport-phase knots"):
         mf.rollout_curvature_series(f, ep)
 

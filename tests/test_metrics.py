@@ -1,14 +1,14 @@
 import numpy as np
-import pytest
 
 from bilock import bimanual as bm
 from bilock import kinematics as kin
 from bilock import metrics as mx
 from bilock import perturb as pb
 from bilock.episodes import JOINTS, Episode, Event
-from bilock.errors import (EmptyDataset, InvalidCounts, MissingEventLog,
-                           NoTransportPhase)
+from bilock.errors import DataError
 from bilock.geometry import Pose, so3_exp
+
+from conftest import raises_exactly
 
 
 def test_clean_profile_is_flat(model, clean_episode):
@@ -67,7 +67,7 @@ def test_profile_requires_transport(model, clean_episode):
     ep = Episode(clean_episode.model_ref, 0.1, clean_episode.obs[keep],
                  clean_episode.act[keep], ["approach"] * len(keep),
                  [False] * len(keep), [], {})
-    with pytest.raises(NoTransportPhase):
+    with raises_exactly(DataError, "no transport-phase knots"):
         mx.violation_profile(model, ep)
 
 
@@ -126,7 +126,7 @@ def test_classify_is_pure_function_of_events():
 def test_missing_event_log():
     ep = Episode("m", 0.1, np.zeros((0, 16)), np.zeros((0, 16)), [], [], None,
                  {})
-    with pytest.raises(MissingEventLog):
+    with raises_exactly(DataError, "no event log"):
         mx.classify_outcome(ep)
 
 
@@ -151,9 +151,9 @@ def test_wilson_width_scales_inverse_sqrt_n():
 
 
 def test_wilson_invalid_counts():
-    with pytest.raises(InvalidCounts):
+    with raises_exactly(DataError, "bad counts 5/0"):
         mx.wilson_interval(5, 0)
-    with pytest.raises(InvalidCounts):
+    with raises_exactly(DataError, "bad counts 7/5"):
         mx.wilson_interval(7, 5)
 
 
@@ -171,5 +171,5 @@ def test_aggregate_report_clean(model, clean_set):
 
 
 def test_aggregate_report_empty():
-    with pytest.raises(EmptyDataset):
+    with raises_exactly(DataError, "empty episode list"):
         mx.aggregate_report([], [], [])

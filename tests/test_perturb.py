@@ -7,7 +7,9 @@ import pytest
 from bilock import kinematics as kin
 from bilock import perturb as pb
 from bilock.episodes import GRIPS, JOINTS, episode_to_record
-from bilock.errors import EmptyDataset
+from bilock.errors import DataError
+
+from conftest import raises_exactly
 
 
 def test_level_table_fixed():
@@ -142,7 +144,7 @@ def test_violation_summary_level_ratios(model, clean_set):
 
 
 def test_empty_dataset_rejected(model):
-    with pytest.raises(EmptyDataset):
+    with raises_exactly(DataError, "violation summary of an empty dataset"):
         pb.dataset_violation_summary(model, [])
 
 

@@ -29,8 +29,8 @@ UNREACHED = {
     "bimanual.check_preservation": "criterion 1: the lock holds on clean data",
     "perturb.ou_variance": "criterion 8: OU paths against the closed form",
     # error paths that no successful stage takes
-    "errors.JointLimitViolation.__init__": "raised only for an IK solution "
-                                           "outside the limits",
+    "errors.IkFailure.__init__": "raised only for a pose without an IK "
+                                 "solution, which this run never meets",
     "errors.MalformedRecord.__init__": "raised only for a bad dataset",
     "errors.RankDeficient.__init__": "raised only at a singular knot",
     "cli._Parser.error": "runs only on an argument error",

@@ -8,6 +8,7 @@ import importlib
 import math
 
 from bilock import cli
+from bilock.errors import EXIT_NUMERIC
 
 from test_trace_targets import _load_tracing
 
@@ -58,7 +59,7 @@ def test_tracer_counts_fd_curvature_and_restores_the_library(tmp_path):
     code, singular = _traced(tracing, [
         "curvature", "--in", data, "--knot-stride", "12", "--rank-tol", "1e9",
         "--out-dir", str(tmp_path / "singular")])
-    assert code == cli.EXIT_NUMERIC
+    assert code == EXIT_NUMERIC
     assert singular["manifold.rank_deficient_frac"] == 1.0
     assert singular["manifold.sigma_min.min"] > 0.0
 

@@ -13,9 +13,11 @@ from bilock import metrics as mx
 from bilock import worldsim as ws
 from bilock.episodes import (BOX_DROP, GRASP_ATTACH, GRASP_DETACH, GRIP,
                              JOINTS, PLACED, Q14, episode_to_record)
-from bilock.errors import UnreachableGrasp
+from bilock.errors import ConfigError
 from bilock.geometry import Pose, geodesic_distance
 from bilock.seeding import rng_from
+
+from conftest import raises_exactly
 
 
 def test_sample_box_init_bounds_and_moments():
@@ -84,7 +86,7 @@ def test_generator_deterministic(model, world_cfg, clean_episode):
 
 
 def test_generator_unreachable_box(model, world_cfg):
-    with pytest.raises(UnreachableGrasp):
+    with raises_exactly(ConfigError, "grasp pose infeasible"):
         ws.generate_demonstration(model, world_cfg, (2.0, 2.0, 0.0), seed=0)
 
 
