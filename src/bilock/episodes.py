@@ -4,7 +4,8 @@ An episode's K knots are the rows of two (K, 16) arrays, the commands
 ``act`` and the observations ``obs`` (each the previous command), plus K
 phases and K lock flags.  ``JOINTS``, ``Q14`` and ``GRIP`` name the layout.
 
-One dataset file holds a header record followed by one episode per line.
+One dataset file holds a header record followed by one episode per line;
+blank lines are skipped.
 Floats round-trip bitwise (shortest-repr JSON encoding), so re-serializing
 a loaded dataset is byte-identical.  ``write_records`` is the one writer of
 every file the CLI stages emit.
@@ -94,12 +95,12 @@ _EVENT = table({"t": num(integer=True, ge=0), "kind": choice(*EVENT_KINDS),
 RECORD = table({"schema_version": choice(EPISODE_SCHEMA), "model_ref": TEXT,
                 "dt": num(gt=0.0), "metadata": _META, "steps": seq(_STEP),
                 "events": seq(_EVENT)})
+HEADER = table({"schema_version": choice(DATASET_SCHEMA),
+                "n_episodes": num(integer=True, ge=0), "config_hash": TEXT},
+               optional=["config_hash"])
 
 
 def episode_from_record(rec):
-    if rec.get("schema_version") != EPISODE_SCHEMA:
-        raise DataError(
-            f"unsupported episode schema {rec.get('schema_version')!r}")
     checked = RECORD(rec)
     steps, events = checked["steps"], checked["events"]
     for i, s in enumerate(steps):
@@ -138,15 +139,19 @@ def write_records(path, records):
 
 
 def write_episodes(path, episodes, header_meta=None):
-    """Write a dataset file: header line plus one episode per line."""
-    header = {"schema_version": DATASET_SCHEMA, "n_episodes": len(episodes)}
-    header.update(header_meta or {})
+    """Write a dataset file: header line plus one episode per line.  A
+    header the reader would reject is a ValueError."""
+    header = HEADER({"schema_version": DATASET_SCHEMA,
+                     "n_episodes": len(episodes), **(header_meta or {})},
+                    "header")
     write_records(path, itertools.chain(
         [header], map(episode_to_record, episodes)))
 
 
 def read_episodes(path, return_header=False):
-    """Read a dataset file; validates schema versions per record."""
+    """Read a dataset file, whose first non-blank line is the header.  A
+    record of another schema is a DataError, any other bad record a
+    MalformedRecord; both name the record's line."""
     episodes = []
     header = None
     with open(path, "rb") as fh:
@@ -163,20 +168,22 @@ def read_episodes(path, return_header=False):
                 raise MalformedRecord(f"invalid JSON ({exc})", lineno) from exc
             if not isinstance(rec, dict):
                 raise MalformedRecord("record is not a JSON object", lineno)
-            if lineno == 1:
-                if rec.get("schema_version") != DATASET_SCHEMA:
-                    raise DataError(
-                        f"unsupported dataset schema {rec.get('schema_version')!r}")
-                header = rec
-                continue
+            kind, schema = (("dataset", DATASET_SCHEMA) if header is None
+                            else ("episode", EPISODE_SCHEMA))
+            if rec.get("schema_version") != schema:
+                raise DataError(f"line {lineno}: unsupported {kind} schema "
+                                f"{rec.get('schema_version')!r}")
             try:
-                episodes.append(episode_from_record(rec))
+                if header is None:
+                    header, header_line = HEADER(rec, "header"), lineno
+                else:
+                    episodes.append(episode_from_record(rec))
             except ValueError as exc:
                 raise MalformedRecord(str(exc), lineno) from exc
     if header is None:
         raise MalformedRecord("missing dataset header", 1)
-    if header.get("n_episodes") != len(episodes):
+    if header["n_episodes"] != len(episodes):
         raise MalformedRecord(
-            f"header declares n_episodes={header.get('n_episodes')!r} but "
-            f"{len(episodes)} episode records follow", 1)
+            f"header declares n_episodes={header['n_episodes']!r} but "
+            f"{len(episodes)} episode records follow", header_line)
     return (episodes, header) if return_header else episodes

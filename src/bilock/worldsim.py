@@ -8,10 +8,11 @@ errant arm knocks the box out of the remaining grasp entirely
 (``box_drop``).  Placement fires when the box rests inside the shelf
 region with the grippers commanded open.
 
-The scripted generator stands in for the human teleoperator: approach
-above the box, descend, lock the transform, close, lift, carry to the
-shelf, insert, open, unlock, retreat, with per-seed timing jitter for
-data diversity.
+The scripted generator stands in for the human teleoperator.  Its script is
+one table, ``SCRIPT``: approach above the box, descend, lock the transform
+and close, lift, carry to the shelf, insert, open and unlock, retreat.  Each
+row moves both grippers to a named waypoint (or holds the one they are at)
+over a knot count with per-seed timing jitter for data diversity.
 
 Generation and replay share one first-order-hold executor over a known
 action array: between knots the command is linearly interpolated at
@@ -29,7 +30,7 @@ from . import bimanual as bm
 from . import kinematics as kin
 from .episodes import (ANGLE, BOX_DROP, CMD_DIM, GRASP_ATTACH, GRASP_DETACH,
                        GRIP, JOINTS, PLACED, Q14, Episode, Event)
-from .errors import ConfigError, IkFailure
+from .errors import ConfigError, IkFailure, NumericalFailure
 from .geometry import Pose, pose_error, so3_exp, so3_log
 from .schema import GEOMETRY, choice, document, num, parse_json, spec, table
 from .seeding import rng_from
@@ -68,10 +69,24 @@ def sample_box_init(dist, rng):
 
 # --- world configuration (task_world_v1) ---
 
-# the scripted segments of a demonstration, in the order _build_script draws
-# their jittered knot counts
-SEGMENTS = ("approach", "descend", "grasp", "lift", "lateral", "insert",
-            "release", "retreat")
+# the scripted demonstration, one row per segment in the order its jittered
+# knot count is drawn: name, phase, lock, default knot count, gripper command
+# at the segment's start and end, and the waypoint both grippers move to from
+# the previous row's ("home" before the first); a row whose waypoint is the
+# previous one holds it
+SCRIPT = (
+    ("approach", "approach", False, 12, 0.0, 0.0, "approach"),
+    ("descend", "approach", False, 8, 0.0, 0.0, "grasp"),
+    # the transform is locked before the grippers close
+    ("grasp", "grasp", True, 5, 0.0, 1.0, "grasp"),
+    ("lift", "transport", True, 8, 1.0, 1.0, "lift"),
+    ("lateral", "transport", True, 14, 1.0, 1.0, "pre"),
+    ("insert", "transport", True, 6, 1.0, 1.0, "place"),
+    # the lock is released only after the grippers open
+    ("release", "release", True, 4, 1.0, 0.0, "place"),
+    ("retreat", "retreat", False, 8, 0.0, 0.0, "out"),
+)
+SEGMENTS = tuple(row[0] for row in SCRIPT)
 
 
 # offsets of a few metres (the arms reach 0.82 m); counts that keep an episode
@@ -106,8 +121,8 @@ class WorldConfig:
     psi_right: float = spec(ANGLE, 0.05)
     lock_pos_tol: float = spec(POSITIVE, 1e-9)
     lock_rot_tol: float = spec(POSITIVE, 1e-8)
-    segment_knots: dict = spec(table(dict.fromkeys(SEGMENTS, KNOTS)), dict(
-        zip(SEGMENTS, (12, 8, 5, 8, 14, 6, 4, 8))))
+    segment_knots: dict = spec(table(dict.fromkeys(SEGMENTS, KNOTS)), {
+        row[0]: row[3] for row in SCRIPT})
     timing_jitter: float = spec(num(ge=0.0, lt=1.0), 0.10)
 
     def psi(self, side):
@@ -174,13 +189,16 @@ class TaskWorld:
         left-before-right order.
         """
         if self.attach_state == "free":
-            return self._try_attach(model, cmd)
-        if self.attach_state != "grasped":
+            if cmd[GRIP["left"]] < 0.5 or cmd[GRIP["right"]] < 0.5:
+                return []
+        elif self.attach_state != "grasped":
             return []
-
-        events = []
         poses = {side: kin.forward_kinematics(model.arm(side), cmd[joints])
                  for side, joints in JOINTS.items()}
+        if self.attach_state == "free":
+            return self._try_attach(poses)
+
+        events = []
         carrier = self._carrier()
         self.box_pose = poses[carrier] @ self.grasp_rel[carrier]
 
@@ -230,23 +248,17 @@ class TaskWorld:
             events.append((BOX_DROP, None))
         return events
 
-    def _try_attach(self, model, cmd):
-        if cmd[GRIP["left"]] < 0.5 or cmd[GRIP["right"]] < 0.5:
-            return []
-        nominal_l, nominal_r = grasp_targets(self.cfg, self.box_pose)
-        poses = {side: kin.forward_kinematics(model.arm(side), cmd[joints])
-                 for side, joints in JOINTS.items()}
-        for pose, nominal in ((poses["left"], nominal_l), (poses["right"], nominal_r)):
-            dp, dr = pose_error(pose, nominal)
+    def _try_attach(self, poses):
+        """Attach when both closed grippers are at their grasp poses."""
+        for side, nominal in zip(JOINTS, grasp_targets(self.cfg, self.box_pose)):
+            dp, dr = pose_error(poses[side], nominal)
             if dp > self.cfg.grasp_eps_pos or dr > self.cfg.grasp_eps_rot:
                 return []
         self.attach_state = "grasped"
-        events = []
-        for side in ("left", "right"):
+        for side in JOINTS:
             self.attached[side] = True
             self.grasp_rel[side] = poses[side].inverse() @ self.box_pose
-            events.append((GRASP_ATTACH, side))
-        return events
+        return [(GRASP_ATTACH, side) for side in JOINTS]
 
 
 def _command(q, grip):
@@ -292,139 +304,94 @@ def _lifted(pose, dz):
     return Pose(pose.rotation, pose.translation + [0.0, 0.0, dz])
 
 
-@dataclass
-class _ScriptKnot:
-    phase: str
-    lock: bool
-    grip: float
-    poses: dict  # side -> target flange pose
-
-
-def _segment(knots, phase, lock, n, pose_fn, grip_fn):
-    for j in range(n):
-        alpha = (j + 1) / n
-        knots.append(_ScriptKnot(phase, lock, grip_fn(alpha),
-                                 dict(zip(("left", "right"), pose_fn(alpha)))))
-
-
 def _home_poses(cfg):
     """Staging (left, right) gripper poses above the nominal box position."""
     home_box = box_pose_from_init(cfg, (0.0, 0.60, 0.0))
-    home_l, home_r = grasp_targets(cfg, home_box)
     dz = cfg.approach_clearance + 0.10
-    return _lifted(home_l, dz), _lifted(home_r, dz)
+    return tuple(_lifted(p, dz) for p in grasp_targets(cfg, home_box))
 
 
-def _build_script(cfg, init, rng):
-    """Per-knot target poses, grips, phases for one demonstration."""
-    box0 = box_pose_from_init(cfg, init)
-    grasp_l, grasp_r = grasp_targets(cfg, box0)
-    shelf_box = Pose(np.eye(3), cfg.shelf_center)
-    place_l, place_r = grasp_targets(cfg, shelf_box)
-
-    home_l, home_r = _home_poses(cfg)
-
-    app_l = _lifted(grasp_l, cfg.approach_clearance)
-    app_r = _lifted(grasp_r, cfg.approach_clearance)
-    lift_l = _lifted(grasp_l, cfg.lift_height)
-    lift_r = _lifted(grasp_r, cfg.lift_height)
-    pre_l = _lifted(place_l, cfg.shelf_pre_offset)
-    pre_r = _lifted(place_r, cfg.shelf_pre_offset)
+def _waypoints(cfg, init):
+    """The (left, right) gripper poses SCRIPT names, for box init."""
+    grasp = grasp_targets(cfg, box_pose_from_init(cfg, init))
+    place = grasp_targets(cfg, Pose(np.eye(3), cfg.shelf_center))
     back = np.array([cfg.retreat_back, 0.0, 0.0])
     up = np.array([0.0, 0.0, cfg.retreat_up])
-    out_l = Pose(place_l.rotation, place_l.translation - back + up)
-    out_r = Pose(place_r.rotation, place_r.translation + back + up)
+    return {"home": _home_poses(cfg), "grasp": grasp, "place": place,
+            "approach": tuple(_lifted(p, cfg.approach_clearance) for p in grasp),
+            "lift": tuple(_lifted(p, cfg.lift_height) for p in grasp),
+            "pre": tuple(_lifted(p, cfg.shelf_pre_offset) for p in place),
+            "out": (Pose(place[0].rotation, place[0].translation - back + up),
+                    Pose(place[1].rotation, place[1].translation + back + up))}
 
-    j = cfg.timing_jitter
-    n = {name: max(2, int(round(cfg.segment_knots[name]
-                                * (1.0 + rng.uniform(-j, j)))))
-         for name in SEGMENTS}
 
+def _build_script(cfg, wp, rng):
+    """(phase, lock, grip, (left, right) target poses) of each knot of one
+    demonstration over the waypoints wp: knot j of a segment of n knots is
+    (j + 1) / n of the way from the previous row's waypoint to its own."""
     knots = []
-    _segment(knots, "approach", False, n["approach"],
-             lambda a: (_pose_interp(home_l, app_l, a),
-                        _pose_interp(home_r, app_r, a)), lambda a: 0.0)
-    _segment(knots, "approach", False, n["descend"],
-             lambda a: (_pose_interp(app_l, grasp_l, a),
-                        _pose_interp(app_r, grasp_r, a)), lambda a: 0.0)
-    # the transform is locked before the grippers close
-    _segment(knots, "grasp", True, n["grasp"],
-             lambda a: (grasp_l, grasp_r), lambda a: a)
-    _segment(knots, "transport", True, n["lift"],
-             lambda a: (_pose_interp(grasp_l, lift_l, a),
-                        _pose_interp(grasp_r, lift_r, a)), lambda a: 1.0)
-    _segment(knots, "transport", True, n["lateral"],
-             lambda a: (_pose_interp(lift_l, pre_l, a),
-                        _pose_interp(lift_r, pre_r, a)), lambda a: 1.0)
-    _segment(knots, "transport", True, n["insert"],
-             lambda a: (_pose_interp(pre_l, place_l, a),
-                        _pose_interp(pre_r, place_r, a)), lambda a: 1.0)
-    # the lock is released only after the grippers open
-    _segment(knots, "release", True, n["release"],
-             lambda a: (place_l, place_r), lambda a: 1.0 - a)
-    _segment(knots, "retreat", False, n["retreat"],
-             lambda a: (_pose_interp(place_l, out_l, a),
-                        _pose_interp(place_r, out_r, a)), lambda a: 0.0)
-    return knots, (grasp_l, grasp_r), (app_l, app_r)
+    start = "home"
+    jitter = cfg.timing_jitter
+    for name, phase, lock, _, g0, g1, end in SCRIPT:
+        n = max(2, int(round(cfg.segment_knots[name]
+                             * (1.0 + rng.uniform(-jitter, jitter)))))
+        try:
+            for a in (j / n for j in range(1, n + 1)):
+                poses = wp[end] if end == start else tuple(
+                    _pose_interp(p0, p1, a) for p0, p1 in zip(wp[start], wp[end]))
+                knots.append((phase, lock, g0 + (g1 - g0) * a, poses))
+        except NumericalFailure as exc:  # a half-turn between the waypoints
+            raise ConfigError(f"{name} segment infeasible: {exc}") from exc
+        start = end
+    return knots
 
 
-def _script_to_actions(model, cfg, knots, grasp_poses, approach_poses):
+def _ik(model, side, pose, cfg, what):
+    """One arm's joints at a scripted pose; a pose without IK is a
+    ConfigError led by what."""
+    try:
+        return kin.inverse_kinematics(model.arm(side), pose, cfg.psi(side))
+    except IkFailure as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _script_to_actions(model, cfg, wp, knots):
     """IK the scripted poses into 16-D actions; the subordinate arm is
     driven through the transform lock during locked phases."""
-    branch = kin.IkBranch()
     control = cfg.control_arm
     sub = model.other(control)
-
-    solved = {}
-    for label, poses in (("grasp", grasp_poses), ("approach", approach_poses)):
-        for side, pose in zip(("left", "right"), poses):
-            try:
-                solved[label, side] = kin.inverse_kinematics(
-                    model.arm(side), pose, cfg.psi(side), branch)
-            except IkFailure as exc:
-                raise ConfigError(
-                    f"{side} {label} pose infeasible: {exc}") from exc
-
-    grasp_q = {side: solved["grasp", side] for side in JOINTS}
-    lock = bm.engage_lock(model, _command(grasp_q, 1.0)[Q14], control,
+    q_at = {label: {side: _ik(model, side, pose, cfg,
+                              f"{side} {label} pose infeasible")
+                    for side, pose in zip(JOINTS, wp[label])}
+            for label in ("grasp", "approach")}
+    lock = bm.engage_lock(model, _command(q_at["grasp"], 1.0)[Q14], control,
                           cfg.lock_pos_tol, cfg.lock_rot_tol)
 
     actions = []
-    prev = {"left": None, "right": None}
-    for i, knot in enumerate(knots):
-        q = {}
-        ctrl_pose = knot.poses[control]
-        try:
-            q[control] = kin.inverse_kinematics(
-                model.arm(control), ctrl_pose, cfg.psi(control), branch)
-        except IkFailure as exc:
-            raise ConfigError(
-                f"control arm IK failed at knot {i} ({knot.phase}): {exc}") from exc
-        if knot.lock:
-            q_sub, held = bm.subordinate_command(
-                model, lock, ctrl_pose, cfg.psi(sub), branch, prev[sub])
+    for i, (phase, locked, grip, pair) in enumerate(knots):
+        poses = dict(zip(JOINTS, pair))
+        where = f"at knot {i} ({phase})"
+        q = {control: _ik(model, control, poses[control], cfg,
+                          f"control arm IK failed {where}")}
+        if locked:
+            q[sub], held = bm.subordinate_command(model, lock, poses[control],
+                                                  cfg.psi(sub))
             if held:
                 raise ConfigError(
-                    f"subordinate hold at knot {i} ({knot.phase}); "
+                    f"subordinate hold {where}; "
                     "clean demonstrations must track the lock exactly")
-            q[sub] = q_sub
         else:
-            try:
-                q[sub] = kin.inverse_kinematics(
-                    model.arm(sub), knot.poses[sub], cfg.psi(sub), branch)
-            except IkFailure as exc:
-                raise ConfigError(
-                    f"subordinate IK failed at knot {i} ({knot.phase}): {exc}") from exc
-        prev.update(q)
-        actions.append(_command(q, knot.grip))
+            q[sub] = _ik(model, sub, poses[sub], cfg,
+                         f"subordinate IK failed {where}")
+        actions.append(_command(q, grip))
     return np.array(actions)
 
 
 def home_state(model, cfg):
     """16-D staging command, grippers open, used as the first observation."""
-    q = {side: kin.inverse_kinematics(model.arm(side), pose, cfg.psi(side))
-         for side, pose in zip(("left", "right"), _home_poses(cfg))}
-    return _command(q, 0.0)
+    return _command({side: _ik(model, side, pose, cfg,
+                               f"{side} home pose infeasible")
+                     for side, pose in zip(JOINTS, _home_poses(cfg))}, 0.0)
 
 
 def _execute_from_home(model, cfg, init, actions, phases, locks, model_ref,
@@ -441,11 +408,13 @@ def generate_demonstration(model, cfg, init, seed):
 
     Deterministic in (model, cfg, init, seed); raises ConfigError when the
     scripted motion is kinematically impossible: a grasp or approach pose
-    without IK, an infeasible path, or a run that does not place the box.
+    without IK, an infeasible path (a half-turn between two waypoints too),
+    or a run that does not place the box.
     """
-    rng = rng_from(seed)
-    knots, grasps, approaches = _build_script(cfg, init, rng)
-    actions = _script_to_actions(model, cfg, knots, grasps, approaches)
+    wp = _waypoints(cfg, init)
+    knots = _build_script(cfg, wp, rng_from(seed))
+    actions = _script_to_actions(model, cfg, wp, knots)
+    phases, locks, _, _ = zip(*knots)
     meta = {
         "seed": int(seed),
         "box_init": [float(v) for v in init],
@@ -459,8 +428,8 @@ def generate_demonstration(model, cfg, init, seed):
         "ik_failures": 0,
     }
     episode = _execute_from_home(
-        model, cfg, init, actions, [k.phase for k in knots],
-        [k.lock for k in knots], f"{model.left.name}+{model.right.name}", meta)
+        model, cfg, init, actions, phases, locks,
+        f"{model.left.name}+{model.right.name}", meta)
     kinds = [e.kind for e in episode.events]
     if PLACED not in kinds or kinds.count(GRASP_ATTACH) != 2:
         raise ConfigError(

@@ -133,6 +133,12 @@ def test_bad_config_value_is_config_error(clean_run, tmp_path, capsys):
             {"x_range": ["a", "b"]},
             {"x_range": [-0.1, 0.1], "z_range": [0.0, 1.0]})]
     bad_configs.append(({"custom_distribution": 5}, "gen"))
+    # a box yawed by a half turn: the path from the home pose has no
+    # unique rotation
+    bad_configs.append(({"distribution": "custom", "n_episodes": 1,
+                         "workers": 1, "custom_distribution": dict(
+                             ranges, x_range=[-0.1, 0.1],
+                             theta_range=[3.1415925, 3.1415928])}, "gen"))
     magic = tmp_path / "magic.json"
     magic.write_text(json.dumps({"diff_mode": "magic"}))
     array = tmp_path / "array.json"

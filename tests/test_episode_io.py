@@ -39,6 +39,10 @@ def test_round_trip_bitwise(tmp_path, clean_set):
     path2 = tmp_path / "eps2.jsonl"
     write_episodes(path2, loaded, {"config_hash": "abc"})
     assert path.read_bytes() == path2.read_bytes()
+    # the writer admits only a header that the reader reads
+    with pytest.raises(ValueError, match="unknown keys"):
+        write_episodes(path2, loaded, {"note": "x"})
+    assert path.read_bytes() == path2.read_bytes()
 
 
 def test_truncated_line_reports_line_number(tmp_path, clean_set):
@@ -65,20 +69,42 @@ def test_missing_record_is_malformed(tmp_path, clean_set):
     assert "n_episodes=3" in str(exc.value)
 
 
-def test_unknown_schema_rejected(tmp_path, clean_set):
+def test_unknown_schema_rejected(tmp_path, clean_set, capsys):
     path = tmp_path / "eps.jsonl"
     write_episodes(path, clean_set[:1])
     lines = path.read_text().splitlines()
     lines[1] = lines[1].replace('"episode_v1"', '"episode_v999"')
     path.write_text("\n".join(lines) + "\n")
-    with raises_exactly(DataError, "unsupported episode schema"):
+    with raises_exactly(DataError, "^line 2: unsupported episode schema"):
         read_episodes(path)
+    assert cli.main(["eval", "--in", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "data error: line 2: unsupported episode schema 'episode_v999'\n")
     bad_header = path.read_text().splitlines()
     bad_header[0] = bad_header[0].replace('"episode_dataset_v1"',
                                           '"episode_dataset_v999"')
     path.write_text("\n".join(bad_header) + "\n")
     with raises_exactly(DataError, "unsupported dataset schema"):
         read_episodes(path)
+
+
+def test_blank_first_line_reads_the_same(tmp_path, clean_set):
+    """The header is the first line that is not blank."""
+    path = tmp_path / "eps.jsonl"
+    write_episodes(path, clean_set[:2], {"config_hash": "abc"})
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n" + path.read_text())
+    (eps, header), (again, header2) = (read_episodes(p, return_header=True)
+                                       for p in (path, blank))
+    assert header == header2
+    assert ([episode_to_record(ep) for ep in eps]
+            == [episode_to_record(ep) for ep in again])
+    # the count mismatch names the header's line
+    blank.write_text("\n" + "\n".join(path.read_text().splitlines()[:2]))
+    with pytest.raises(MalformedRecord) as exc:
+        read_episodes(blank)
+    assert exc.value.line == 2
 
 
 def test_missing_field_is_malformed(tmp_path, clean_set):
@@ -99,7 +125,8 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
     of the wrong type or range (dt, step t and lock, model_ref, branch, SEW
     angles, event times, kinds and arms) and metadata the stages read but the
     record lacks are data errors at the record's line; so are a file that is not UTF-8
-    and a header that is not an object, at line 1."""
+    and a header that is not an object or is outside its table (an
+    n_episodes that is a boolean or a float, an unknown key), at line 1."""
     path = tmp_path / "eps.jsonl"
     write_episodes(path, clean_set[:1])
     lines = path.read_text().splitlines()
@@ -180,9 +207,13 @@ def test_bad_contents_are_malformed(tmp_path, clean_set, capsys):
                          "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: line 2: ") and err.count("\n") == 1
-    # a file that is not UTF-8, and a header that is not an object
+    # a file that is not UTF-8, a header that is not an object, and headers
+    # outside their table
+    headers = [json.dumps(dict(json.loads(lines[0]), **edit)) for edit in (
+        {"n_episodes": True}, {"n_episodes": 1.0}, {"junk": 5})]
     for contents in (b"\xff\xfe\x00garbage\n" + lines[1].encode(),
-                     ("[1]\n" + lines[1]).encode()):
+                     *(f"{head}\n{lines[1]}".encode()
+                       for head in ["[1]", *headers])):
         path.write_bytes(contents)
         with pytest.raises(MalformedRecord) as exc:
             read_episodes(path)
@@ -286,12 +317,13 @@ def _replaced(doc, path, value):
 def test_single_field_replacement_reads_or_is_malformed(
         tmp_path, clean_episode, capsys):
     """Replacing any one field of a valid pipeline config, world or arm
-    document or episode record with any of FUZZ_VALUES either loads or is
-    rejected with the kind's own one-line error: ValueError for the
-    configs, DataError for records.  A derandomized sample of the accepted
-    documents then runs through ``gen --n 1`` or a one-record ``eval``, four
-    of each kind, which ends with exit 0, or with exit 2, 3 or 4 and one
-    stderr line that carries the prefix of its code."""
+    document, episode record or dataset header with any of FUZZ_VALUES
+    either loads or is rejected with the kind's own one-line error:
+    ValueError for the configs, DataError for records and headers.  A
+    derandomized sample of the accepted documents then runs through ``gen
+    --n 1`` or a one-record ``eval``, up to four of each kind, which ends
+    with exit 0, or with exit 2, 3 or 4 and one stderr line that carries the
+    prefix of its code."""
     ranges = {"x_range": [-0.2, 0.2], "y_range": [0.55, 0.65],
               "theta_range": [-0.3, 0.3]}
     docs = {"pipeline": {**PipelineConfig().canonical_dict(), "workers": 1,
@@ -299,21 +331,25 @@ def test_single_field_replacement_reads_or_is_malformed(
                          "custom_distribution": ranges},
             "world": json.loads(default_data_path("world.json").read_text()),
             "arm": json.loads(default_data_path("arm_left.json").read_text()),
-            "record": json.loads(json.dumps(episode_to_record(clean_episode)))}
+            "record": json.loads(json.dumps(episode_to_record(clean_episode))),
+            "header": {"schema_version": "episode_dataset_v1", "n_episodes": 1,
+                       "config_hash": "abc"}}
     loaders = {"pipeline": load_pipeline_config, "world": load_world_config,
-               "arm": load_arm_model, "record": read_episodes}
-    header = json.dumps({"schema_version": "episode_dataset_v1",
-                         "n_episodes": 1})
+               "arm": load_arm_model, "record": read_episodes,
+               "header": read_episodes}
+    # a record follows its header, and a header precedes its record
+    header, record = json.dumps(docs["header"]), json.dumps(docs["record"])
     path = tmp_path / "doc.json"
     accepted = {kind: [] for kind in docs}
     for kind, doc in docs.items():
-        errors = (DataError if kind == "record"
-                  else ValueError)
+        errors = DataError if kind in ("record", "header") else ValueError
         for field in _field_paths(doc):
             for value in FUZZ_VALUES:
                 text = _replaced(doc, field, value)
                 if kind == "record":
                     text = f"{header}\n{text}\n"
+                elif kind == "header":
+                    text = f"{text}\n{record}\n"
                 path.write_text(text)
                 try:
                     loaders[kind](path)
@@ -325,13 +361,14 @@ def test_single_field_replacement_reads_or_is_malformed(
     stages = {"pipeline": ["--config", str(path), "gen"],
               "world": ["gen", "--world", str(path)],
               "arm": ["gen", "--arm-model-left", str(path)],
-              "record": ["eval", "--in", str(path)]}
+              "record": ["eval", "--in", str(path)],
+              "header": ["eval", "--in", str(path)]}
     sample = [(kind, *case) for kind, cases in accepted.items()
-              for case in random.Random(0).sample(cases, 4)]
+              for case in random.Random(0).sample(cases, min(4, len(cases)))]
     for kind, field, value, text in sample:
         path.write_text(text)
         args = stages[kind] + ["--out-dir", str(tmp_path / "out")]
-        if kind != "record":
+        if stages[kind][0] == "gen":
             args += ["--n", "1", "--workers", "1"]
         code = cli.main(args)
         err = capsys.readouterr().err

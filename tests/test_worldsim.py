@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -88,6 +89,28 @@ def test_generator_deterministic(model, world_cfg, clean_episode):
 def test_generator_unreachable_box(model, world_cfg):
     with raises_exactly(ConfigError, "grasp pose infeasible"):
         ws.generate_demonstration(model, world_cfg, (2.0, 2.0, 0.0), seed=0)
+
+
+def test_script_table_drives_the_episode(model, world_cfg):
+    """Without jitter each scripted segment runs its configured knot count,
+    a count of 1 as 2 knots, in script order; the lock is on exactly over
+    grasp, transport and release, the grippers close over grasp and open
+    over release in equal steps, and both hold the arms still."""
+    counts = {"approach": 3, "descend": 2, "grasp": 4, "lift": 1,
+              "lateral": 3, "insert": 2, "release": 5, "retreat": 2}
+    cfg = dataclasses.replace(world_cfg, timing_jitter=0.0,
+                              segment_knots=counts)
+    ep = ws.generate_demonstration(model, cfg, (0.0, 0.6, 0.0), seed=7)
+    assert ep.phases == (["approach"] * 5 + ["grasp"] * 4 + ["transport"] * 7
+                         + ["release"] * 5 + ["retreat"] * 2)
+    assert ep.locks == [p in ("grasp", "transport", "release")
+                        for p in ep.phases]
+    grips = ([0.0] * 5 + [i / 4 for i in range(1, 5)] + [1.0] * 7
+             + [1.0 - i / 5 for i in range(1, 6)] + [0.0] * 2)
+    for side in ("left", "right"):
+        assert ep.act[:, GRIP[side]].tolist() == grips
+    for held in (ep.act[5:9, Q14], ep.act[16:21, Q14]):
+        assert (held == held[0]).all()
 
 
 def test_replay_reproduces_knot_states(model, world_cfg, clean_episode):
@@ -246,7 +269,6 @@ def test_threshold_monotonicity(model, world_cfg, clean_episode):
 
         outcomes = {}
         for factor in (1.0, 2.0):
-            import dataclasses
             cfg2 = dataclasses.replace(
                 world_cfg, retain_pos=world_cfg.retain_pos * factor,
                 retain_rot=world_cfg.retain_rot * factor)
