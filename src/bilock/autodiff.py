@@ -9,10 +9,10 @@ therefore yields value, gradient and Hessian together
 Functions differentiated in dual mode must be written against the
 dispatching helpers of this module (``sin``, ``cos``, ``sqrt``,
 ``atan2``, ``value``, ...) or the arithmetic operators, so the same code
-runs on plain floats and on ``Dual2`` scalars.  Given a step,
-``value_jacobian_hessian`` takes central finite differences of f on
-plain floats instead (``jacobian_numeric``, ``hessian_numeric``): the
-independent check of the dual pass.
+runs on plain floats, ``Dual2`` scalars and (N,) float columns.  Given a
+step, ``value_jacobian_hessian`` takes central differences instead, the
+independent check of the dual pass: ``jacobian_numeric`` and
+``hessian_numeric`` each call f once, on all their probe points stacked.
 """
 
 from __future__ import annotations
@@ -122,23 +122,29 @@ def value(x):
     return x.val if isinstance(x, Dual2) else x
 
 
-# --- dispatching scalar math (float / Dual2) ---
+# --- dispatching math: floats to math, Dual2 to itself, arrays to numpy ---
 
 def sin(x):
-    return x.sin() if isinstance(x, Dual2) else math.sin(x)
+    return (math.sin(x) if isinstance(x, float) else
+            x.sin() if isinstance(x, Dual2) else np.sin(x))
 
 
 def cos(x):
-    return x.cos() if isinstance(x, Dual2) else math.cos(x)
+    return (math.cos(x) if isinstance(x, float) else
+            x.cos() if isinstance(x, Dual2) else np.cos(x))
 
 
 def sqrt(x):
-    return x.sqrt() if isinstance(x, Dual2) else math.sqrt(x)
+    return (math.sqrt(x) if isinstance(x, float) else
+            x.sqrt() if isinstance(x, Dual2) else np.sqrt(x))
 
 
 def atan2(y, x):
     if isinstance(y, Dual2) or isinstance(x, Dual2):
         return Dual2.atan2(y, x)
+    if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
+        # math.atan2 per element: np.arctan2 may differ in the last bit
+        return np.frompyfunc(math.atan2, 2, 1)(y, x).astype(float)
     return math.atan2(y, x)
 
 
@@ -181,33 +187,29 @@ def _dual_pass(f, x):
 
 def jacobian_numeric(f, x, h):
     """m x n Jacobian of f: R^n -> R^m at the float point x, by central
-    differences of step h (2n evaluations of f)."""
+    differences of step h: one evaluation of f on the 2n probe points
+    x + h e_i, x - h e_i stacked as the columns of an (n, 2n) array."""
     n = x.shape[0]
-    cols = []
-    for i in range(n):
-        dx = np.zeros(n)
-        dx[i] = h
-        cols.append((_call(f, x + dx) - _call(f, x - dx)) / (2.0 * h))
-    return np.array(cols, dtype=float).T
+    d = np.eye(n) * h
+    y = _call(f, np.concatenate([x[:, None] + d, x[:, None] - d], axis=1))
+    return (y[:, :n] - y[:, n:]) / (2.0 * h)
 
 
-def hessian_numeric(f, x, h, m):
+def hessian_numeric(f, x, h):
     """m x n x n Hessian of f: R^n -> R^m at the float point x, by the
-    4-point central second difference of step h (4 evaluations of f per
-    entry of the upper triangle)."""
+    4-point central second difference of step h: for each i <= j the probe
+    points (x +- h e_i) +- h e_j, all 2n(n + 1) of them stacked as the
+    columns of one array and passed to f in one evaluation."""
     n = x.shape[0]
-    hess = np.zeros((m, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            d = (_call(f, x + ei + ej) - _call(f, x + ei - ej)
-                 - _call(f, x - ei + ej) + _call(f, x - ei - ej))
-            d /= 4.0 * h * h
-            hess[:, i, j] = d
-            hess[:, j, i] = d
+    i, j = np.triu_indices(n)
+    e = np.eye(n) * h
+    xp, xm, ej = x[:, None] + e[:, i], x[:, None] - e[:, i], e[:, j]
+    y = _call(f, np.concatenate([xp + ej, xp - ej, xm + ej, xm - ej], axis=1))
+    f1, f2, f3, f4 = np.split(y, 4, axis=1)
+    d = f1 - f2 - f3 + f4
+    d /= 4.0 * h * h
+    hess = np.zeros((y.shape[0], n, n))
+    hess[:, i, j] = hess[:, j, i] = d
     return hess
 
 
@@ -222,6 +224,5 @@ def value_jacobian_hessian(f, x, fd_step=None):
     x = np.asarray(x, dtype=float)
     if fd_step is None:
         return _dual_pass(f, x)
-    y = _call(f, x)
-    return (y, jacobian_numeric(f, x, fd_step),
-            hessian_numeric(f, x, fd_step, y.shape[0]))
+    return (_call(f, x), jacobian_numeric(f, x, fd_step),
+            hessian_numeric(f, x, fd_step))

@@ -26,6 +26,7 @@ _SMALL_ANGLE = 1.4e-2
 # that stays accurate up to the pi boundary.
 _NEAR_PI = 3.0
 _PI_MARGIN = 1e-6
+_SERIES, _SKEW = 3, 4  # so3_log's other branches; 0-2 are near pi
 
 
 def hat(w):
@@ -64,41 +65,72 @@ def so3_exp(w):
 def so3_log(r):
     """Rotation vector of a rotation matrix, as an array.
 
-    r is a 3x3 array or nested list of floats or ``Dual2`` scalars.  The
-    branches switch on the primal angle only, so the map is
-    dual-differentiable everywhere below pi - 1e-6; the series branch keeps
-    it smooth through the identity, where the constraint residual lives.
-    Raises NumericalFailure beyond, where the axis sign becomes ill-defined.
+    r is a 3x3 array or nested list of floats or ``Dual2`` scalars, or of
+    (N,) float columns and floats, which gives a (3, N) array.  The branches
+    switch on the primal angle only, so the map is dual-differentiable
+    everywhere below pi - 1e-6; the series branch keeps it smooth through
+    the identity, where the constraint residual lives.  Raises
+    NumericalFailure beyond, where the axis sign becomes ill-defined.
     """
     a = [(r[2][1] - r[1][2]) * 0.5,  # sin(theta) * axis
          (r[0][2] - r[2][0]) * 0.5,
          (r[1][0] - r[0][1]) * 0.5]
     c = (r[0][0] + r[1][1] + r[2][2] - 1.0) * 0.5
     s2 = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+    if isinstance(c, np.ndarray) or isinstance(s2, np.ndarray):
+        return _so3_log_columns(r, a, c, s2)
     th_val = math.atan2(math.sqrt(ad.value(s2)), ad.value(c))
     if th_val > math.pi - _PI_MARGIN:
         raise NumericalFailure(f"rotation angle {th_val:.9f} within 1e-6 of pi")
-    if th_val < _SMALL_ANGLE:
+    branch = (_SERIES if th_val < _SMALL_ANGLE else _SKEW if th_val < _NEAR_PI
+              else max(range(3), key=lambda i: ad.value(r[i][i])))
+    return np.array(_log_branch(r, a, c, s2, branch))
+
+
+def _so3_log_columns(r, a, c, s2):
+    """``so3_log`` of (N,) columns: each branch runs on its columns only."""
+    c, s2, *v = np.broadcast_arrays(c, s2, *a, *[e for row in r for e in row])
+    a, r = v[:3], [v[3:6], v[6:9], v[9:12]]
+    th = ad.atan2(np.sqrt(s2), c)
+    near = th > math.pi - _PI_MARGIN
+    if near.any():
+        raise NumericalFailure(
+            f"rotation angle {th[near][0]:.9f} within 1e-6 of pi")
+    branch = np.select([th < _SMALL_ANGLE, th < _NEAR_PI], [_SERIES, _SKEW],
+                       np.argmax([r[0][0], r[1][1], r[2][2]], axis=0))
+    out = np.empty((3,) + c.shape)
+    for b in (0, 1, 2, _SERIES, _SKEW):
+        m = branch == b
+        out[:, m] = _log_branch([[x[m] for x in row] for row in r],
+                                [x[m] for x in a], c[m], s2[m], b)
+    return out
+
+
+def _log_branch(r, a, c, s2, k):
+    """The log by branch k, on scalars or on columns that all take it."""
+    if k == _SERIES:
         u = 1.0 - c
         # theta/sin(theta) as a series in (1 - cos theta)
         g = 1.0 + u * (1.0 / 3.0) + u * u * (2.0 / 15.0) + u * u * u * (2.0 / 35.0)
-        return np.array([g * a[0], g * a[1], g * a[2]])
+        return [g * a[0], g * a[1], g * a[2]]
     s = ad.sqrt(s2)
     th = ad.atan2(s, c)
-    if th_val < _NEAR_PI:
+    if k == _SKEW:
         g = th / s
-        return np.array([g * a[0], g * a[1], g * a[2]])
+        return [g * a[0], g * a[1], g * a[2]]
     # Near pi the skew part loses precision; recover the axis from the
     # symmetric part B = (R + R^T)/2 - c*I = (1-c) * axis axis^T, whose
-    # column of largest diagonal entry is parallel to the axis.
-    k = max(range(3), key=lambda i: ad.value(r[i][i]))
+    # column k of largest diagonal entry is parallel to the axis.
     col = [(r[i][k] + r[k][i]) * 0.5 for i in range(3)]
     col[k] = col[k] - c
     n = ad.sqrt(col[0] * col[0] + col[1] * col[1] + col[2] * col[2])
-    if ad.value(col[0] * a[0] + col[1] * a[1] + col[2] * a[2]) < 0.0:
+    dot = ad.value(col[0] * a[0] + col[1] * a[1] + col[2] * a[2])
+    if isinstance(dot, np.ndarray):
+        n = np.where(dot < 0.0, -n, n)
+    elif dot < 0.0:
         n = -n  # a = sin(theta)*axis fixes the sign
     g = th / n
-    return np.array([g * col[0], g * col[1], g * col[2]])
+    return [g * col[0], g * col[1], g * col[2]]
 
 
 def rotation_angle(r):

@@ -8,11 +8,11 @@ supplied by a config file (``arm_model_v1``), so any arm in the family
 works.
 
 One chain computes every kinematic quantity: ``joint_frames`` walks the
-joints once, generic in the scalars of q (plain floats or the dual scalars
-of :mod:`bilock.autodiff`), and forward kinematics, the geometric
-Jacobian and the SEW angle all read its frames.  It accepts any chain of
-translational offsets whose joints each turn about the local z or y axis;
-only the analytic IK needs the S-R-S layout.
+joints once, generic in the scalars of q (plain floats, the dual scalars
+of :mod:`bilock.autodiff`, or (N,) float columns), and forward
+kinematics, the geometric Jacobian and the SEW angle all read its frames.
+It accepts any chain of translational offsets whose joints each turn
+about the local z or y axis; only the analytic IK needs the S-R-S layout.
 
 The redundancy is parameterized by a SEW angle whose reference direction
 is the parallel transport of a fixed tangent vector along the great
@@ -138,15 +138,14 @@ class ArmModel:
 def joint_frames(model, q):
     """World-frame (R, origin) before each of the 7 joints, then the flange.
 
-    R is a nested-list 3x3 matrix and origin a list; both are generic in
-    the scalars of q, which may be plain floats or the dual scalars of
-    :mod:`bilock.autodiff` (how derivative information is threaded through
-    the chain).  Joint i turns about ``R_i @ joint_axes[i]`` through its
-    origin; the last entry is the flange pose.
+    R is a nested-list 3x3 matrix and origin a list, generic in the scalars
+    of q: plain floats, the dual scalars of :mod:`bilock.autodiff` (how
+    derivative information is threaded through the chain), or the (N,) rows
+    of a (7, N) stack, giving (N,) columns (floats where no joint reaches).
+    Joint i turns about ``R_i @ joint_axes[i]`` through its origin; the last
+    entry is the flange pose.
     """
-    base_r, base_t, offs, rots = model._generic
-    r = base_r
-    t = base_t
+    r, t, offs, rots = model._generic
     frames = []
     for i in range(7):
         off = offs[i]

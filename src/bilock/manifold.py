@@ -32,9 +32,9 @@ RANK_TOL = 1e-8
 class ConstraintFunction:
     """Vector constraint map with a scalar-generic evaluation path.
 
-    The wrapped function must accept a 1-D array of plain floats or of
-    ``Dual2`` scalars and return a sequence of scalars of matching kind;
-    that single entry point feeds both derivative engines.
+    The wrapped function takes a 1-D array of floats or ``Dual2`` scalars,
+    or an (n, P) float stack of P points, and returns scalars (or (P,)
+    columns) of matching kind; that one entry point feeds both engines.
     """
 
     def __init__(self, fn):
@@ -50,8 +50,8 @@ def make_constraint(model, q0):
     First three components: relative translation offset (meters); last
     three: rotation vector of the relative-rotation discrepancy (radians).
     The anchor is computed by the same code as the residual, so the
-    residual is exactly 0.0 at q0 (as a float and as a ``Dual2`` value) and
-    zero wherever the locked transform is preserved.
+    residual is exactly 0.0 at q0 (as a float, a ``Dual2`` value, or a
+    column of a (14, P) stack) and zero wherever the lock is preserved.
     """
     r0, p0 = bm.relative_generic(model, np.asarray(q0, dtype=float).reshape(14))
     r0_t = geo.gmat_transpose(r0)

@@ -203,7 +203,7 @@ def test_criterion_5_derivative_cross_validation(model):
         q0 = random_q14(model, rng, scale=0.65)
         f = mf.make_constraint(model, q0)
         hd = value_jacobian_hessian(f, q0)[2]
-        hf = hessian_numeric(f, q0, 1e-4, 6)
+        hf = hessian_numeric(f, q0, 1e-4)
         worst_hess = max(worst_hess, np.abs(hd - hf).max() / np.abs(hd).max())
     ok = worst_jac <= 1e-6 and worst_hess <= 1e-5
     report(5, "derivative cross-validation", ok,

@@ -57,7 +57,7 @@ def test_evaluation_failure_wrapped():
     with raises_exactly(NumericalFailure, "function raised at probe point"):
         value_jacobian_hessian(bad, np.zeros(2))
     with raises_exactly(NumericalFailure, "function raised at probe point"):
-        hessian_numeric(bad, np.zeros(2), FD_STEP, 1)
+        hessian_numeric(bad, np.zeros(2), FD_STEP)
 
 
 def test_fk_position_dual_vs_fd(model):
@@ -84,7 +84,7 @@ def test_hessian_symmetry_fd_mode(model):
 
     rng = np.random.default_rng(11)
     q = random_joint_config(arm, rng, scale=0.8)
-    for h in (dual_hessian(pos_map, q), hessian_numeric(pos_map, q, 1e-4, 3)):
+    for h in (dual_hessian(pos_map, q), hessian_numeric(pos_map, q, 1e-4)):
         assert np.abs(h - h.transpose(0, 2, 1)).max() <= 1e-8
 
 
@@ -99,5 +99,5 @@ def test_trig_chain_dual_matches_fd():
     jf = jacobian_numeric(f, x0, FD_STEP)
     assert np.abs(jd - jf).max() <= 1e-9
     hd = dual_hessian(f, x0)
-    hf = hessian_numeric(f, x0, 1e-4, 3)
+    hf = hessian_numeric(f, x0, 1e-4)
     assert np.abs(hd - hf).max() <= 1e-6

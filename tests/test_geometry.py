@@ -40,6 +40,54 @@ def test_log_raises_near_pi():
         geo.so3_log(r)
 
 
+def _stack(rotations):
+    """3x3 nested list of (N,) columns, one rotation per column; an entry
+    equal in every column is a plain float, as the joint chain leaves it."""
+    rs = np.array(rotations)
+    return [[float(rs[0, i, k]) if np.all(rs[:, i, k] == rs[0, i, k])
+             else rs[:, i, k].copy() for k in range(3)] for i in range(3)]
+
+
+def _column(r, j):
+    return [[e if isinstance(e, float) else e[j] for e in row] for row in r]
+
+
+def test_log_on_columns_matches_scalar_log_bitwise():
+    """Each column takes its own branch, and gives the scalar log's bits."""
+    eps = 1e-6
+    angles = [0.0, 1e-9, 1e-4, geo._SMALL_ANGLE * (1.0 - eps),
+              geo._SMALL_ANGLE * (1.0 + eps), 0.5, 2.0,
+              geo._NEAR_PI * (1.0 - eps), geo._NEAR_PI * (1.0 + eps), 3.1,
+              math.pi - 2e-6]
+    rng = np.random.default_rng(12)
+    angles += list(rng.uniform(0.0, math.pi - 2e-6, size=40))
+    axes = [np.eye(3)[i] for i in range(3)] + list(rng.normal(size=(3, 3)))
+    stacks = [[so3_exp(th * np.array([0.0, 0.0, 1.0])) for th in angles]]
+    stacks.append([so3_exp(th * ax / np.linalg.norm(ax))
+                   for ax in axes for th in angles])
+    floats = 0
+    for rotations in stacks:
+        th = np.array([geo.rotation_angle(r) for r in rotations])
+        cuts = [0.0, geo._SMALL_ANGLE, geo._NEAR_PI, math.pi]
+        for lo, hi in zip(cuts, cuts[1:]):  # every branch has columns
+            assert np.any((th >= lo) & (th < hi))
+        r = _stack(rotations)
+        floats += sum(isinstance(e, float) for row in r for e in row)
+        out = geo.so3_log(r)
+        assert out.shape == (3, len(rotations))
+        for j in range(len(rotations)):
+            scalar = geo.so3_log(_column(r, j))
+            assert out[:, j].tobytes() == scalar.tobytes(), j
+    assert floats == 5  # the z-axis stack's constant row and column
+
+
+def test_log_on_columns_raises_for_any_column_near_pi():
+    rotations = [so3_exp([0.3, 0.0, 0.0]), so3_exp([0.0, math.pi - 1e-7, 0.0]),
+                 so3_exp([0.0, 0.0, 3.05])]
+    with raises_exactly(NumericalFailure, "within 1e-6 of pi"):
+        geo.so3_log(_stack(rotations))
+
+
 def _zyz(x):
     """Rz(x0) Ry(x1) Rz(x2) as a nested list, generic in the scalars of x."""
     return geo.gmat_mul(geo.gmat_mul(geo.grot_z(x[0]), geo.grot_y(x[1])),

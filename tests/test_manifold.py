@@ -5,7 +5,8 @@ from bilock import bimanual as bm
 from bilock import kinematics as kin
 from bilock import manifold as mf
 from bilock import worldsim as ws
-from bilock.autodiff import value_jacobian_hessian
+from bilock.autodiff import (hessian_numeric, jacobian_numeric,
+                             value_jacobian_hessian)
 from bilock.errors import DataError, RankDeficient
 from bilock.geometry import Pose
 
@@ -291,6 +292,58 @@ def test_one_constraint_evaluation_per_knot(model, clean_episode):
     records, gaps = mf.rollout_curvature_series(
         mf.ConstraintFunction(counted), clean_episode, knot_stride=5)
     assert len(calls) == len(records) + len(gaps) > 0
+
+
+def test_fd_mode_stacks_each_kernel_into_one_evaluation(model, clean_episode):
+    """fd mode calls f three times per knot: at the knot, then once per
+    kernel on all of its probe points as the columns of one stack."""
+    f = mf.constraint_for_episode(model, clean_episode)
+    shapes = []
+
+    def counted(q):
+        shapes.append(np.shape(q))
+        return f(q)
+
+    records, gaps = mf.rollout_curvature_series(
+        mf.ConstraintFunction(counted), clean_episode, fd_step=1e-5,
+        knot_stride=5)
+    knots = len(records) + len(gaps)
+    assert knots > 0
+    assert shapes == [(14,), (14, 28), (14, 420)] * knots
+
+
+def _fd_per_probe(f, x, h):
+    """Central differences with one evaluation of f per probe point."""
+    n = x.shape[0]
+    jac = np.array([(f(x + dx) - f(x - dx)) / (2.0 * h)
+                    for dx in np.eye(n) * h]).T
+    hess = np.zeros((jac.shape[0], n, n))
+    for i in range(n):
+        for j in range(i, n):
+            ei = np.zeros(n)
+            ej = np.zeros(n)
+            ei[i] = h
+            ej[j] = h
+            d = (f(x + ei + ej) - f(x + ei - ej)
+                 - f(x - ei + ej) + f(x - ei - ej))
+            d /= 4.0 * h * h
+            hess[:, i, j] = d
+            hess[:, j, i] = d
+    return jac, hess
+
+
+def test_stacked_fd_kernels_match_per_probe_differences(model):
+    rng = np.random.default_rng(57)
+    h = 1e-5
+    for _ in range(5):
+        q0 = random_q14(model, rng, scale=0.6)
+        f = mf.make_constraint(model, q0)
+        q = q0 + rng.normal(scale=0.05, size=14)
+        jac, hess = _fd_per_probe(f, q, h)
+        assert np.abs(jacobian_numeric(f, q, h) - jac).max() \
+            <= 1e-12 * np.abs(jac).max()
+        assert np.abs(hessian_numeric(f, q, h) - hess).max() \
+            <= 1e-6 * np.abs(hess).max()
 
 
 def test_rollout_series_clean(model, clean_episode):
