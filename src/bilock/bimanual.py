@@ -60,7 +60,7 @@ class TransformLock:
 
 def relative_generic(model, q14):
     """Left gripper in the right gripper frame as (nested-list R, list p),
-    generic in the scalars of q14 (floats, ``Dual2`` or (N,) columns)."""
+    generic in the scalars of q14 (floats, jets or (N,) columns)."""
     rl, tl = kin.forward_kinematics_generic(model.left, q14[JOINTS["left"]])
     rr, tr = kin.forward_kinematics_generic(model.right, q14[JOINTS["right"]])
     d = [tl[0] - tr[0], tl[1] - tr[1], tl[2] - tr[2]]

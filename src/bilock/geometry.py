@@ -4,11 +4,11 @@ A rotation is a 3x3 orthonormal matrix because the curvature pipeline
 consumes matrix derivatives.  ``Pose`` holds a read-only float rotation
 array and translation; ``pose_error`` is the one translation-distance /
 geodesic-angle pair every pose comparison uses.  The ``g*`` helpers do
-3x3 math on nested lists whose entries may be floats or the dual scalars
-of :mod:`bilock.autodiff`; the kinematic chain is built from them.
-``so3_log`` is generic in the same way, so the pose interpolation of the
-world scripts and the differentiable constraint residual share one SO(3)
-log.
+3x3 math on nested lists whose entries may be floats, (N,) float columns
+or the jets of :mod:`bilock.autodiff`; the kinematic chain is built from
+them.  ``so3_log`` is generic in the same way, so the pose interpolation
+of the world scripts and the differentiable constraint residual share one
+SO(3) log.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ _SMALL_ANGLE = 1.4e-2
 _NEAR_PI = 3.0
 _PI_MARGIN = 1e-6
 _SERIES, _SKEW = 3, 4  # so3_log's other branches; 0-2 are near pi
+_STACKS = (np.ndarray, ad.Jet)  # so3_log entries that hold one row per point
 
 
 def hat(w):
@@ -65,49 +66,62 @@ def so3_exp(w):
 def so3_log(r):
     """Rotation vector of a rotation matrix, as an array.
 
-    r is a 3x3 array or nested list of floats or ``Dual2`` scalars, or of
-    (N,) float columns and floats, which gives a (3, N) array.  The branches
-    switch on the primal angle only, so the map is dual-differentiable
-    everywhere below pi - 1e-6; the series branch keeps it smooth through
-    the identity, where the constraint residual lives.  Raises
-    NumericalFailure beyond, where the axis sign becomes ill-defined.
+    r is a 3x3 array or nested list of floats, or of (N,) float columns and
+    floats, which gives a (3, N) array, or of jets of N rows (and floats),
+    which gives an object array of three jets.  The branches switch on the
+    primal angle only, so the map is dual-differentiable everywhere below
+    pi - 1e-6; the series branch keeps it smooth through the identity,
+    where the constraint residual lives.  Raises NumericalFailure beyond,
+    where the axis sign becomes ill-defined.
     """
     a = [(r[2][1] - r[1][2]) * 0.5,  # sin(theta) * axis
          (r[0][2] - r[2][0]) * 0.5,
          (r[1][0] - r[0][1]) * 0.5]
     c = (r[0][0] + r[1][1] + r[2][2] - 1.0) * 0.5
     s2 = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
-    if isinstance(c, np.ndarray) or isinstance(s2, np.ndarray):
-        return _so3_log_columns(r, a, c, s2)
-    th_val = math.atan2(math.sqrt(ad.value(s2)), ad.value(c))
-    if th_val > math.pi - _PI_MARGIN:
-        raise NumericalFailure(f"rotation angle {th_val:.9f} within 1e-6 of pi")
-    branch = (_SERIES if th_val < _SMALL_ANGLE else _SKEW if th_val < _NEAR_PI
-              else max(range(3), key=lambda i: ad.value(r[i][i])))
+    if isinstance(c, _STACKS) or isinstance(s2, _STACKS):
+        return _so3_log_rows(r, a, c, s2)
+    th = math.atan2(math.sqrt(s2), c)
+    if th > math.pi - _PI_MARGIN:
+        raise NumericalFailure(f"rotation angle {th:.9f} within 1e-6 of pi")
+    branch = (_SERIES if th < _SMALL_ANGLE else _SKEW if th < _NEAR_PI
+              else max(range(3), key=lambda i: r[i][i]))
     return np.array(_log_branch(r, a, c, s2, branch))
 
 
-def _so3_log_columns(r, a, c, s2):
-    """``so3_log`` of (N,) columns: each branch runs on its columns only."""
-    c, s2, *v = np.broadcast_arrays(c, s2, *a, *[e for row in r for e in row])
-    a, r = v[:3], [v[3:6], v[6:9], v[9:12]]
-    th = ad.atan2(np.sqrt(s2), c)
+def _so3_log_rows(r, a, c, s2):
+    """``so3_log`` of (N,) columns or N-row jets, each row on the branch of
+    its primal angle; a branch that not all rows take runs on its rows."""
+    if not isinstance(c, ad.Jet):  # give float entries the column shape
+        c, s2, *v = np.broadcast_arrays(c, s2, *a,
+                                        *[e for row in r for e in row])
+        a, r = v[:3], [v[3:6], v[6:9], v[9:12]]
+    pc, ps2, *diag = np.broadcast_arrays(*[np.ravel(ad.value(x)) for x in (
+        c, s2, r[0][0], r[1][1], r[2][2])])
+    th = ad.atan2(np.sqrt(ps2), pc)
     near = th > math.pi - _PI_MARGIN
     if near.any():
         raise NumericalFailure(
             f"rotation angle {th[near][0]:.9f} within 1e-6 of pi")
     branch = np.select([th < _SMALL_ANGLE, th < _NEAR_PI], [_SERIES, _SKEW],
-                       np.argmax([r[0][0], r[1][1], r[2][2]], axis=0))
-    out = np.empty((3,) + c.shape)
-    for b in (0, 1, 2, _SERIES, _SKEW):
-        m = branch == b
-        out[:, m] = _log_branch([[x[m] for x in row] for row in r],
-                                [x[m] for x in a], c[m], s2[m], b)
-    return out
+                       np.argmax(diag, axis=0))
+    kinds = set(branch.tolist())  # not np.unique: it imports numpy.ma
+    if len(kinds) == 1:
+        return np.array(_log_branch(r, a, c, s2, kinds.pop()))
+    out = [-c for _ in range(3)]  # new rows of c's kind, overwritten below
+    for b in kinds:
+        rows = np.flatnonzero(branch == b)
+        cb, s2b, *v = [x[rows] if isinstance(x, _STACKS) else x
+                       for x in (c, s2, *a, *r[0], *r[1], *r[2])]
+        part = _log_branch([v[3:6], v[6:9], v[9:12]], v[:3], cb, s2b, b)
+        for o, p in zip(out, part):
+            o[rows] = p
+    return np.array(out)
 
 
 def _log_branch(r, a, c, s2, k):
-    """The log by branch k, on scalars or on columns that all take it."""
+    """The log by branch k, on scalars, or on columns or jets whose rows
+    all take it."""
     if k == _SERIES:
         u = 1.0 - c
         # theta/sin(theta) as a series in (1 - cos theta)
@@ -125,10 +139,7 @@ def _log_branch(r, a, c, s2, k):
     col[k] = col[k] - c
     n = ad.sqrt(col[0] * col[0] + col[1] * col[1] + col[2] * col[2])
     dot = ad.value(col[0] * a[0] + col[1] * a[1] + col[2] * a[2])
-    if isinstance(dot, np.ndarray):
-        n = np.where(dot < 0.0, -n, n)
-    elif dot < 0.0:
-        n = -n  # a = sin(theta)*axis fixes the sign
+    n = n * np.where(dot < 0.0, -1.0, 1.0)  # a = sin(theta)*axis fixes the sign
     g = th / n
     return [g * col[0], g * col[1], g * col[2]]
 
@@ -193,7 +204,7 @@ def pose_error(a, b):
             geodesic_distance(a.rotation, b.rotation))
 
 
-# --- scalar-generic 3x3 math on nested lists (floats or dual scalars) ---
+# --- scalar-generic 3x3 math on nested lists (floats, columns or jets) ---
 
 def gmat_mul(a, b):
     return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]

@@ -8,8 +8,8 @@ supplied by a config file (``arm_model_v1``), so any arm in the family
 works.
 
 One chain computes every kinematic quantity: ``joint_frames`` walks the
-joints once, generic in the scalars of q (plain floats, the dual scalars
-of :mod:`bilock.autodiff`, or (N,) float columns), and forward
+joints once, generic in the scalars of q (plain floats, the jets of
+:mod:`bilock.autodiff`, or (N,) float columns), and forward
 kinematics, the geometric Jacobian and the SEW angle all read its frames.
 It accepts any chain of translational offsets whose joints each turn
 about the local z or y axis; only the analytic IK needs the S-R-S layout.
@@ -24,6 +24,7 @@ direction.  The parameterization is therefore singular on a single ray
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -136,42 +137,41 @@ class ArmModel:
 # --- forward kinematics ---
 
 def joint_frames(model, q):
-    """World-frame (R, origin) before each of the 7 joints, then the flange.
+    """Yield the world-frame (R, origin) before each of the 7 joints, then
+    the flange.
 
     R is a nested-list 3x3 matrix and origin a list, generic in the scalars
-    of q: plain floats, the dual scalars of :mod:`bilock.autodiff` (how
-    derivative information is threaded through the chain), or the (N,) rows
-    of a (7, N) stack, giving (N,) columns (floats where no joint reaches).
+    of q: plain floats, the jets of :mod:`bilock.autodiff` (how derivative
+    information is threaded through the chain), or the (N,) rows of a
+    (7, N) stack, giving (N,) columns (floats where no joint reaches).
     Joint i turns about ``R_i @ joint_axes[i]`` through its origin; the last
-    entry is the flange pose.
+    frame is the flange pose.
     """
     r, t, offs, rots = model._generic
-    frames = []
     for i in range(7):
         off = offs[i]
         if off[0] != 0.0 or off[1] != 0.0 or off[2] != 0.0:
             d = geo.gmat_vec(r, off)
             t = [t[0] + d[0], t[1] + d[1], t[2] + d[2]]
-        frames.append((r, t))
+        yield r, t
         r = geo.gmat_mul(r, rots[i](q[i]))
     d = geo.gmat_vec(r, offs[7])
-    frames.append((r, [t[0] + d[0], t[1] + d[1], t[2] + d[2]]))
-    return frames
+    yield r, [t[0] + d[0], t[1] + d[1], t[2] + d[2]]
 
 
 def forward_kinematics_generic(model, q):
     """Flange pose as (nested-list R, list t), generic in the scalars of q."""
-    return joint_frames(model, q)[7]
+    return deque(joint_frames(model, q), maxlen=1).pop()
 
 
 def forward_kinematics(model, q):
     """World-frame flange pose for joint configuration q (radians)."""
-    return Pose(*joint_frames(model, q)[7])
+    return Pose(*deque(joint_frames(model, q), maxlen=1).pop())
 
 
 def geometric_jacobian(model, q):
     """6x7 geometric Jacobian at the flange (rows: linear, angular)."""
-    frames = joint_frames(model, q)
+    frames = list(joint_frames(model, q))
     p = np.array(frames[7][1])
     jac = np.empty((6, 7))
     for i in range(7):
@@ -228,7 +228,7 @@ def sew_angle(model, q):
     under pure flange roll (joint 7 does not move S, E, or W).
     """
     s, a, b, d7 = model.srs
-    frames = joint_frames(model, q)
+    frames = list(joint_frames(model, q))
     to_base = model.base_pose.inverse()
     return _sew_azimuth(s, to_base @ frames[3][1], to_base @ frames[4][1],
                         model.sew_pole, model.sew_zero_dir)

@@ -27,14 +27,15 @@ from .episodes import Q14
 from .errors import DataError, RankDeficient
 
 RANK_TOL = 1e-8
+KNOTS_PER_PASS = 8  # knots per derivative call; 8 knots' jets take < 1 MB
 
 
 class ConstraintFunction:
     """Vector constraint map with a scalar-generic evaluation path.
 
-    The wrapped function takes a 1-D array of floats or ``Dual2`` scalars,
-    or an (n, P) float stack of P points, and returns scalars (or (P,)
-    columns) of matching kind; that one entry point feeds both engines.
+    The wrapped function takes a 1-D array of floats or jets, or an (n, P)
+    float stack of P points, and returns scalars, jets or (P,) columns to
+    match; that one entry point feeds both engines.
     """
 
     def __init__(self, fn):
@@ -50,8 +51,8 @@ def make_constraint(model, q0):
     First three components: relative translation offset (meters); last
     three: rotation vector of the relative-rotation discrepancy (radians).
     The anchor is computed by the same code as the residual, so the
-    residual is exactly 0.0 at q0 (as a float, a ``Dual2`` value, or a
-    column of a (14, P) stack) and zero wherever the lock is preserved.
+    residual is exactly 0.0 at q0 (as a float, a jet's value, or a column
+    of a (14, P) stack) and zero wherever the lock is preserved.
     """
     r0, p0 = bm.relative_generic(model, np.asarray(q0, dtype=float).reshape(14))
     r0_t = geo.gmat_transpose(r0)
@@ -121,17 +122,14 @@ class CurvatureResult:
     frame: ManifoldFrame
 
 
-def riemann_and_kretschmann(f, q, fd_step=None, rank_tol=RANK_TOL):
-    """Riemann tensor (orthonormal tangent basis) and Kretschmann scalar.
+def riemann_and_kretschmann(q, val, jac, hess, rank_tol=RANK_TOL):
+    """Riemann tensor (orthonormal tangent basis) and Kretschmann scalar at
+    q, from the residual, Jacobian and Hessian of the constraint there.
 
     Gauss equation in the flat ambient metric:
     R_ijkl = <II_ik, II_jl> - <II_il, II_jk>.  Off the manifold the level
-    set through q is measured and the residual norm reported.  Residual,
-    Jacobian and Hessian come from one derivative call: a single ``Dual2``
-    evaluation of f, or central differences of step ``fd_step``.
+    set through q is measured and the residual norm reported.
     """
-    q = np.asarray(q, dtype=float)
-    val, jac, hess = value_jacobian_hessian(f, q, fd_step)
     frame = _frame(q, jac, rank_tol)
     ii = second_fundamental_form(frame, hess)
     riemann = (np.einsum("ika,jla->ijkl", ii, ii)
@@ -147,22 +145,26 @@ def rollout_curvature_series(f, episode, fd_step=None, rank_tol=RANK_TOL,
     """Per-transport-knot curvature record list plus rank-deficient gaps.
 
     Returns (records, gaps): records are dicts {t, kretschmann, residual,
-    cond_j}; gaps lists the knot times skipped as rank deficient.
+    cond_j}; gaps lists the knot times skipped as rank deficient.  One
+    ``value_jacobian_hessian`` call serves ``KNOTS_PER_PASS`` knots.
     """
     transport = episode.transport_indices()
     if not transport:
         raise DataError("episode has no transport-phase knots")
+    knots = transport[::knot_stride]
     records = []
     gaps = []
-    for t in transport[::knot_stride]:
-        try:
-            res = riemann_and_kretschmann(f, episode.act[t, Q14], fd_step,
-                                          rank_tol)
-        except RankDeficient as exc:
-            gaps.append({"t": t, "sigma_min": exc.sigma_min})
-            continue
-        records.append({"t": t, "kretschmann": res.kretschmann,
-                        "residual": res.residual_norm,
-                        "cond_j": res.frame.cond_j})
+    for start in range(0, len(knots), KNOTS_PER_PASS):
+        ts = knots[start:start + KNOTS_PER_PASS]
+        qs = episode.act[ts, Q14]
+        derivs = value_jacobian_hessian(f, qs.T, fd_step)
+        for t, q, *vjh in zip(ts, qs, *derivs):
+            try:
+                res = riemann_and_kretschmann(q, *vjh, rank_tol)
+            except RankDeficient as exc:
+                gaps.append({"t": t, "sigma_min": exc.sigma_min})
+                continue
+            records.append({"t": t, "kretschmann": res.kretschmann,
+                            "residual": res.residual_norm,
+                            "cond_j": res.frame.cond_j})
     return records, gaps
-

@@ -34,9 +34,13 @@ def kde_pdf(samples, bandwidth, xs):
         raise NumericalFailure("KDE of an empty sample")
     if not bandwidth > 0.0:
         raise ValueError("bandwidth must be positive")
-    z = (np.asarray(xs, dtype=float)[..., None] - samples) / bandwidth
+    z = np.asarray(xs, dtype=float)[..., None] - samples  # the one buffer
+    z /= bandwidth
+    z *= z
+    z *= -0.5  # exact, so exp(z) is bitwise exp(-0.5 * z * z)
+    np.exp(z, out=z)
     norm = bandwidth * math.sqrt(2.0 * math.pi) * samples.size
-    return np.exp(-0.5 * z * z).sum(axis=-1) / norm
+    return z.sum(axis=-1) / norm
 
 
 def _entropy(p, xs):

@@ -6,6 +6,7 @@ import pytest
 from bilock import configio as cio
 from bilock import geometry as geo
 from bilock import worldsim as ws
+from bilock.autodiff import value_jacobian_hessian
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +51,14 @@ def raises_exactly(cls, match):
     with pytest.raises(cls, match=match) as info:
         yield info
     assert type(info.value) is cls, type(info.value)
+
+
+def at_knot(f, q, fd_step=None):
+    """(q, residual, Jacobian, Hessian) of the constraint f at the point q:
+    the arguments of ``manifold.riemann_and_kretschmann`` before
+    ``rank_tol``."""
+    q = np.asarray(q, dtype=float)
+    return (q, *value_jacobian_hessian(f, q, fd_step))
 
 
 def random_joint_config(arm, rng, scale=1.0):

@@ -24,7 +24,7 @@ from bilock.episodes import Q14
 from bilock.geometry import geodesic_distance
 from bilock.seeding import rng_from
 
-from conftest import random_joint_config, random_q14
+from conftest import at_knot, random_joint_config, random_q14
 
 
 def report(num, name, ok, detail):
@@ -106,8 +106,8 @@ def test_criterion_3_curvature_oracles():
 
     def affine(q):
         return [q[0] + 2.0 * q[1] - 0.3, q[2] - q[1] + 1.0]
-    k = mf.riemann_and_kretschmann(_poly_constraint(affine),
-                                   np.array([0.3, 0.0, -1.0, 0.5])).kretschmann
+    k = mf.riemann_and_kretschmann(*at_knot(
+        _poly_constraint(affine), np.array([0.3, 0.0, -1.0, 0.5]))).kretschmann
     ok &= k <= 1e-10
     details.append(f"affine {k:.1e}<=1e-10")
 
@@ -122,8 +122,8 @@ def test_criterion_3_curvature_oracles():
                 return [s - r * r]
             q = np.zeros(n)
             q[0] = r
-            k = mf.riemann_and_kretschmann(_poly_constraint(sphere),
-                                           q).kretschmann
+            k = mf.riemann_and_kretschmann(
+                *at_knot(_poly_constraint(sphere), q)).kretschmann
             want = 2.0 * m * (m - 1) / r ** 4
             worst = max(worst, abs(k - want) / want)
     ok &= worst <= 1e-6
@@ -131,15 +131,15 @@ def test_criterion_3_curvature_oracles():
 
     def cyl(q):
         return [q[0] * q[0] + q[1] * q[1] - 0.25]
-    k = mf.riemann_and_kretschmann(_poly_constraint(cyl),
-                                   np.array([0.5, 0.0, 0.4])).kretschmann
+    k = mf.riemann_and_kretschmann(*at_knot(
+        _poly_constraint(cyl), np.array([0.5, 0.0, 0.4]))).kretschmann
     ok &= k <= 1e-10
     details.append(f"cylinder {k:.1e}<=1e-10")
 
     def parab(q):
         return [q[2] - q[0] * q[0] - q[1] * q[1]]
-    k = mf.riemann_and_kretschmann(_poly_constraint(parab),
-                                   np.zeros(3)).kretschmann
+    k = mf.riemann_and_kretschmann(*at_knot(_poly_constraint(parab),
+                                            np.zeros(3))).kretschmann
     ok &= abs(k - 64.0) <= 1e-6 * 64.0
     details.append(f"paraboloid {k:.6f} vs 64")
     report(3, "curvature oracles", ok, "; ".join(details))
@@ -151,7 +151,7 @@ def test_criterion_4_riemann_symmetries(model):
     for _ in range(100):
         q0 = random_q14(model, rng, scale=0.65)
         f = mf.make_constraint(model, q0)
-        res = mf.riemann_and_kretschmann(f, q0)
+        res = mf.riemann_and_kretschmann(*at_knot(f, q0))
         r = res.riemann
         scale = np.abs(r).max()
         worst_sym = max(

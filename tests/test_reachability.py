@@ -34,7 +34,6 @@ UNREACHED = {
     "errors.MalformedRecord.__init__": "raised only for a bad dataset",
     "errors.RankDeficient.__init__": "raised only at a singular knot",
     "cli._Parser.error": "runs only on an argument error",
-    "autodiff.Dual2.__repr__": "for debugging",
     "geometry.Pose.__repr__": "for debugging",
     # the KDE/JS path needs >= 2 rollouts in each of outcomes I, II and III;
     # three episodes are not enough, so outcome_conditioned_js stops early
