@@ -1,9 +1,9 @@
 """Batch command-line interface binding the pipeline end to end.
 
-Subcommands: ``gen`` (clean dataset), ``perturb`` (degraded dataset plus a
-violation summary), ``eval`` (outcome counts, Wilson CIs, violation
-aggregates over surrogate re-executions), ``curvature`` (per-knot
-curvature series plus correlation/JS analysis).  Identical configs and
+Subcommands: ``gen`` (clean dataset), ``perturb`` (degraded, re-executed
+dataset plus a violation summary), ``eval`` (outcome counts, Wilson CIs,
+violation aggregates over surrogate re-executions), ``curvature`` (per-knot
+curvature series plus correlation/JS analysis of the stored outcomes).  Identical configs and
 seeds produce byte-identical output files; ``gen --workers`` changes only
 how fast.  A stage writes its files only once all of its computation has
 succeeded, and each file replaces its predecessor atomically.
@@ -69,7 +69,7 @@ def run_gen(cfg, model, world_cfg, _episodes, out):
     return f"gen: wrote {len(episodes)} episodes to {out / 'episodes.jsonl'}"
 
 
-def run_perturb(cfg, model, _world_cfg, episodes, out):
+def run_perturb(cfg, model, world_cfg, episodes, out):
     # raw volatility overrides the named level
     if cfg.eta is None:
         level_tag, eta = cfg.level, pb.LEVEL_ETAS[cfg.level]
@@ -77,6 +77,8 @@ def run_perturb(cfg, model, _world_cfg, episodes, out):
         level_tag, eta = "raw", float(cfg.eta)
     perturbed = pb.perturb_dataset(model, episodes, level_tag, eta,
                                    cfg.master_seed)
+    for i, ep in enumerate(perturbed):  # each record executes its commands
+        perturbed[i] = ws.replay_episode(model, world_cfg, ep)
     summary = pb.dataset_violation_summary(model, perturbed,
                                            window=cfg.window, stride=cfg.stride)
     summary.update({"schema_version": "perturb_summary_v1",
@@ -108,19 +110,21 @@ def run_eval(cfg, model, world_cfg, episodes, out):
             f"wilson=[{report['wilson_lo']:.4f},{report['wilson_hi']:.4f}]")
 
 
-def run_curvature(cfg, model, world_cfg, episodes, out):
+def run_curvature(cfg, model, _world_cfg, episodes, out):
     if cfg.max_episodes:
         episodes = episodes[:cfg.max_episodes]
     fd_step = cfg.fd_step if cfg.diff_mode == "fd" else None
 
     rows = []
     for i, ep in enumerate(episodes):
+        if not np.array_equal(ep.obs[1:], ep.act[:-1]):
+            raise DataError(f"episode {i}: obs[t] is not act[t - 1], so its "
+                            "events are not an execution of its commands")
         f = mf.constraint_for_episode(model, ep)
         series, gaps = mf.rollout_curvature_series(
             f, ep, fd_step, cfg.rank_tol, cfg.knot_stride)
         rows.append({"episode": i, "series": series, "gaps": gaps,
-                     "outcome": mx.classify_outcome(
-                         ws.replay_episode(model, world_cfg, ep))})
+                     "outcome": mx.classify_outcome(ep)})
     all_series = [row["series"] for row in rows]
     outcomes = [row["outcome"] for row in rows]
     if all(not s for s in all_series):

@@ -182,8 +182,9 @@ class TaskWorld:
                 return side
         return None
 
-    def step(self, model, cmd):
-        """Advance the attachment rules for one 16-D command.
+    def step(self, cmd, flange):
+        """Advance the attachment rules for one 16-D command, whose flange
+        poses are flange: one (R, t) pair per arm, left then right.
 
         Returns a list of (kind, arm) event tuples, in deterministic
         left-before-right order.
@@ -193,8 +194,7 @@ class TaskWorld:
                 return []
         elif self.attach_state != "grasped":
             return []
-        poses = {side: kin.forward_kinematics(model.arm(side), cmd[joints])
-                 for side, joints in JOINTS.items()}
+        poses = {side: Pose(r, t) for side, (r, t) in zip(JOINTS, flange)}
         if self.attach_state == "free":
             return self._try_attach(poses)
 
@@ -276,16 +276,22 @@ def execute_actions(model, world, actions, phases, locks, *, initial_state,
 
     Between knots the command is linearly interpolated at ``substeps``
     world evaluations.  Each knot's observation is the previous command
-    (the 16-D initial state at the first knot).
+    (the 16-D initial state at the first knot); both are views of one buffer.
     """
-    act = np.array(actions, dtype=float)
-    obs = np.vstack([initial_state, act])[:-1]
-    events = []
-    for t, (prev, cmd) in enumerate(zip(obs, act)):
-        for s in range(1, substeps + 1):
-            alpha = s / substeps
-            for kind, arm in world.step(model, (1.0 - alpha) * prev + alpha * cmd):
-                events.append(Event(t, kind, arm))
+    buf = np.vstack([initial_state, actions], dtype=float)
+    obs, act = buf[:-1], buf[1:]
+    alpha = (np.arange(1, substeps + 1) / substeps)[:, None]
+    cmds = (1.0 - alpha) * obs[:, None] + alpha * act[:, None]
+    cmds = cmds.reshape(-1, CMD_DIM)  # substep i belongs to knot i // substeps
+    flanges = []  # per arm, the flange (R, t) of every substep: one FK call
+    for side, joints in JOINTS.items():
+        r, t = kin.forward_kinematics_generic(model.arm(side),
+                                              cmds[:, joints].T)
+        rt = np.stack(np.broadcast_arrays(*r[0], *r[1], *r[2], *t), axis=1)
+        flanges.append(zip(rt[:, :9].reshape(-1, 3, 3), rt[:, 9:]))
+    events = [Event(i // substeps, kind, arm)
+              for i, (cmd, *flange) in enumerate(zip(cmds, *flanges))
+              for kind, arm in world.step(cmd, flange)]
     # stream_exhausted is an episode_v1 key; datasets carry it
     meta = {**(metadata or {}), "stream_exhausted": True}
     return Episode(model_ref, dt, obs, act, list(phases),
@@ -438,13 +444,13 @@ def generate_demonstration(model, cfg, init, seed):
     return episode
 
 
-def replay_episode(model, cfg, episode, extra_meta=None):
+def replay_episode(model, cfg, episode):
     """Re-execute stored actions in a fresh world (surrogate rollout).
 
     Events and observations are regenerated from the commands; phase tags
     and the action sequence are preserved.
     """
-    meta = {**episode.metadata, "source": "replay", **(extra_meta or {})}
+    meta = {**episode.metadata, "source": "replay"}
     return _execute_from_home(model, cfg, episode.metadata["box_init"],
                               episode.act, episode.phases, episode.locks,
                               episode.model_ref, meta)

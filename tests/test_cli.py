@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from bilock import cli
+from bilock import metrics as mx
+from bilock import worldsim as ws
 from bilock.configio import default_data_path
 from bilock.errors import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC
 from bilock.episodes import read_episodes, write_episodes
@@ -362,6 +364,49 @@ def test_perturb_eta_overrides_level(clean_run, tmp_path):
     assert read_json(out_eta / "perturb_summary.json")["level"] == "raw"
 
 
+def test_perturbed_records_execute_their_commands(clean_run, tmp_path, model,
+                                                  world_cfg):
+    """Each perturbed record observes its previous command and stores the
+    events of executing its own commands."""
+    for i, level in enumerate((["--level", "1"], ["--level", "3"],
+                               ["--eta", "0.0028"])):
+        out = tmp_path / f"p{i}"
+        assert run(["perturb", "--in", str(clean_run / "episodes.jsonl"),
+                    "--out-dir", str(out), "--seed", "42", *level]) == 0
+        for ep in read_episodes(out / "episodes.jsonl"):
+            assert np.array_equal(ep.obs[1:], ep.act[:-1]), level
+            assert ep.metadata["source"] == "replay"
+            assert mx.classify_outcome(ep) == mx.classify_outcome(
+                ws.replay_episode(model, world_cfg, ep)), level
+
+
+def test_curvature_reads_outcomes_from_the_records(clean_run, tmp_path,
+                                                   monkeypatch):
+    """curvature classifies the stored events: with the executor patched to
+    raise it writes the same files, whose outcomes are the records'."""
+    data = tmp_path / "l3" / "episodes.jsonl"
+    assert run(["perturb", "--in", str(clean_run / "episodes.jsonl"),
+                "--out-dir", str(data.parent), "--level", "3",
+                "--seed", "42"]) == 0
+    args = ["curvature", "--in", str(data), "--max-episodes", "3",
+            "--knot-stride", "5", "--out-dir"]
+    assert run(args + [str(tmp_path / "replayable")]) == 0
+
+    def execute(*args, **kwargs):
+        raise AssertionError("curvature executed an episode")
+
+    monkeypatch.setattr(ws, "replay_episode", execute)
+    monkeypatch.setattr(ws, "execute_actions", execute)
+    out = tmp_path / "patched"
+    assert run(args + [str(out)]) == 0
+    for name in ("curvature_series.jsonl", "curvature_analysis.json"):
+        assert (out / name).read_bytes() \
+            == (tmp_path / "replayable" / name).read_bytes()
+    rows = (out / "curvature_series.jsonl").read_text().splitlines()[1:]
+    assert [json.loads(row)["outcome"] for row in rows] == [
+        mx.classify_outcome(ep) for ep in read_episodes(data)[:3]]
+
+
 def test_eval_clean_dataset(clean_run, tmp_path):
     out = tmp_path / "eval"
     assert run(["eval", "--in", str(clean_run / "episodes.jsonl"),
@@ -409,6 +454,22 @@ def test_eval_malformed_dataset_is_data_error(clean_run, tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert err.startswith("data error: line 2: ") and err.count("\n") == 1
+
+
+def test_curvature_rejects_records_not_executed(clean_run, tmp_path, capsys):
+    """A record whose observation differs from its previous command, as a
+    perturbed record that kept the clean run's observations does, is a data
+    error for curvature, which trusts its stored events."""
+    stale = tmp_path / "stale.jsonl"
+    eps = read_episodes(clean_run / "episodes.jsonl")
+    eps[1].act[eps[1].transport_indices()[3], 0] += 1e-6
+    write_episodes(stale, eps)
+    code = run(["curvature", "--in", str(stale),
+                "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("data error: episode 1: ") and err.count("\n") == 1
+    assert not (tmp_path / "o" / "curvature_series.jsonl").exists()
 
 
 def test_curvature_analysis_ranges(clean_run, tmp_path):

@@ -128,7 +128,7 @@ class _RecordingWorld:
     def __init__(self):
         self.states = []
 
-    def step(self, model, cmd):
+    def step(self, cmd, flange):
         self.states.append(cmd.copy())
         return []
 
@@ -248,7 +248,11 @@ def test_step_world_transition_function(model, world_cfg, clean_episode):
     world = ws.TaskWorld(world_cfg, clean_episode.metadata["box_init"])
     grasp_knot = max(i for i, p in enumerate(clean_episode.phases)
                      if p == "grasp")  # grippers fully closed here
-    events = world.step(model, clean_episode.act[grasp_knot])
+    cmd = clean_episode.act[grasp_knot]
+    flange = [(pose.rotation, pose.translation) for pose in (
+        kin.forward_kinematics(model.arm(side), cmd[joints])
+        for side, joints in JOINTS.items())]
+    events = world.step(cmd, flange)
     assert [(k, a) for k, a in events] == [(GRASP_ATTACH, "left"),
                                            (GRASP_ATTACH, "right")]
     assert world.attach_state == "grasped"
