@@ -2,11 +2,11 @@
 
 Subcommands: ``gen`` (clean dataset), ``perturb`` (degraded, re-executed
 dataset plus a violation summary), ``eval`` (outcome counts, Wilson CIs,
-violation aggregates over surrogate re-executions), ``curvature`` (per-knot
-curvature series plus correlation/JS analysis of the stored outcomes).  Identical configs and
-seeds produce byte-identical output files; ``gen --workers`` changes only
-how fast.  A stage writes its files only once all of its computation has
-succeeded, and each file replaces its predecessor atomically.
+violation aggregates), ``curvature`` (per-knot curvature series plus
+correlation/JS analysis).  Only ``gen`` and ``perturb`` execute commands and
+read ``--world``; the other two classify the events each record stores.
+Identical configs and seeds give byte-identical files at any ``--workers``;
+a stage writes them once all of its computation has succeeded, atomically.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure
 (a ``RuntimeWarning`` during a stage counts as one).
@@ -42,6 +42,15 @@ def _episode_task(args):
     init = ws.sample_box_init(dist, rng_from(master_seed, index, 0))
     seed = int(rng_from(master_seed, index, 1).integers(2 ** 62))
     return seed, ws.generate_demonstration(model, world_cfg, init, seed)
+
+
+def stored_outcomes(episodes):
+    """Outcomes of records whose stored events executed their commands."""
+    for i, ep in enumerate(episodes):
+        if not np.array_equal(ep.obs[1:], ep.act[:-1]):
+            raise DataError(f"episode {i}: obs[t] is not act[t - 1], so its "
+                            "events are not an execution of its commands")
+    return [mx.classify_outcome(ep) for ep in episodes]
 
 
 # A stage takes (cfg, model, world_cfg, episodes, out), episodes being the
@@ -94,10 +103,9 @@ def run_perturb(cfg, model, world_cfg, episodes, out):
             f"rot_mean={summary['rot_mean_deg']:.3f}deg")
 
 
-def run_eval(cfg, model, world_cfg, episodes, out):
+def run_eval(cfg, model, _world_cfg, episodes, out):
+    outcomes = stored_outcomes(episodes)
     profiles = [mx.violation_profile(model, ep, cfg.window, cfg.stride)
-                for ep in episodes]
-    outcomes = [mx.classify_outcome(ws.replay_episode(model, world_cfg, ep))
                 for ep in episodes]
     report = mx.aggregate_report(episodes, profiles, outcomes,
                                  window=cfg.window, stride=cfg.stride)
@@ -111,22 +119,18 @@ def run_eval(cfg, model, world_cfg, episodes, out):
 
 
 def run_curvature(cfg, model, _world_cfg, episodes, out):
-    if cfg.max_episodes:
-        episodes = episodes[:cfg.max_episodes]
+    episodes = episodes[:cfg.max_episodes or None]
     fd_step = cfg.fd_step if cfg.diff_mode == "fd" else None
+    outcomes = stored_outcomes(episodes)
 
     rows = []
-    for i, ep in enumerate(episodes):
-        if not np.array_equal(ep.obs[1:], ep.act[:-1]):
-            raise DataError(f"episode {i}: obs[t] is not act[t - 1], so its "
-                            "events are not an execution of its commands")
+    for i, (ep, outcome) in enumerate(zip(episodes, outcomes)):
         f = mf.constraint_for_episode(model, ep)
         series, gaps = mf.rollout_curvature_series(
             f, ep, fd_step, cfg.rank_tol, cfg.knot_stride)
         rows.append({"episode": i, "series": series, "gaps": gaps,
-                     "outcome": mx.classify_outcome(ep)})
+                     "outcome": outcome})
     all_series = [row["series"] for row in rows]
-    outcomes = [row["outcome"] for row in rows]
     if all(not s for s in all_series):
         raise RankDeficient("no curvature records produced", 0.0)
 
@@ -184,12 +188,13 @@ def build_parser():
                         help="pipeline config JSON (default: $BILOCK_CONFIG)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # --seed, --window and --stride only on the stages that read them
-    def add_common(p, seed=False, windows=False):
+    # --world, --seed, --window and --stride only on the stages that read them
+    def add_common(p, world=False, seed=False, windows=False):
         p.add_argument("--arm-model-left", dest="arm_model_left")
         p.add_argument("--arm-model-right", dest="arm_model_right")
-        p.add_argument("--world", dest="world")
         p.add_argument("--out-dir", dest="out_dir")
+        if world:
+            p.add_argument("--world", dest="world")
         if seed:
             p.add_argument("--seed", dest="master_seed", type=int)
         if windows:
@@ -197,14 +202,14 @@ def build_parser():
             p.add_argument("--stride", dest="stride", type=int)
 
     p = sub.add_parser("gen", help="generate clean demonstrations")
-    add_common(p, seed=True)
+    add_common(p, world=True, seed=True)
     p.add_argument("--n", dest="n_episodes", type=int)
     p.add_argument("--workers", dest="workers", type=int)
     p.add_argument("--distribution", dest="distribution",
                    choices=("train", "eval", "custom"))
 
     p = sub.add_parser("perturb", help="inject OU constraint violations")
-    add_common(p, seed=True, windows=True)
+    add_common(p, world=True, seed=True, windows=True)
     p.add_argument("--in", dest="in_dataset", required=True)
     p.add_argument("--level", dest="level", type=int, choices=(0, 1, 2, 3))
     p.add_argument("--eta", dest="eta", type=float,

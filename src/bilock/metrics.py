@@ -103,9 +103,7 @@ def aggregate_report(episodes, profiles, outcomes, window=16, stride=8,
         raise DataError("cannot aggregate an empty episode list")
     if not (len(episodes) == len(profiles) == len(outcomes)):
         raise DataError("episodes, profiles, outcomes length mismatch")
-    counts = {c: 0 for c in CATEGORIES}
-    for o in outcomes:
-        counts[o] += 1
+    counts = {c: outcomes.count(c) for c in CATEGORIES}
     successes = counts["I"] + counts["II"]
     lo, hi = wilson_interval(successes, len(outcomes), confidence)
     return {"schema_version": "eval_report_v1",

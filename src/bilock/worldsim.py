@@ -445,11 +445,8 @@ def generate_demonstration(model, cfg, init, seed):
 
 
 def replay_episode(model, cfg, episode):
-    """Re-execute stored actions in a fresh world (surrogate rollout).
-
-    Events and observations are regenerated from the commands; phase tags
-    and the action sequence are preserved.
-    """
+    """Execute a record's stored actions in a fresh world: new observations
+    and events, the same actions, phases and locks, ``source`` "replay"."""
     meta = {**episode.metadata, "source": "replay"}
     return _execute_from_home(model, cfg, episode.metadata["box_init"],
                               episode.act, episode.phases, episode.locks,

@@ -256,11 +256,14 @@ def test_workers_is_a_gen_flag(clean_run, tmp_path):
 
 
 def test_flags_belong_to_the_stages_that_read_them(clean_run, tmp_path):
-    """--seed is a gen and perturb flag, --window and --stride are perturb
-    and eval flags; a stage that would ignore one rejects it."""
+    """--world and --seed are gen and perturb flags, --window and --stride
+    are perturb and eval flags; a stage that would ignore one rejects it."""
     data = str(clean_run / "episodes.jsonl")
+    world = str(default_data_path("world.json"))
     for args in (["gen", "--window", "3"], ["gen", "--stride", "9"],
                  ["eval", "--in", data, "--seed", "99"],
+                 ["eval", "--in", data, "--world", world],
+                 ["curvature", "--in", data, "--world", world],
                  ["curvature", "--in", data, "--window", "2"],
                  ["curvature", "--in", data, "--stride", "2"],
                  ["curvature", "--in", data, "--seed", "7"]):
@@ -382,18 +385,21 @@ def test_perturbed_records_execute_their_commands(clean_run, tmp_path, model,
 
 def test_curvature_reads_outcomes_from_the_records(clean_run, tmp_path,
                                                    monkeypatch):
-    """curvature classifies the stored events: with the executor patched to
-    raise it writes the same files, whose outcomes are the records'."""
+    """curvature and eval classify the stored events: with the executor
+    patched to raise they write the same files, whose outcomes are the
+    records'."""
     data = tmp_path / "l3" / "episodes.jsonl"
     assert run(["perturb", "--in", str(clean_run / "episodes.jsonl"),
                 "--out-dir", str(data.parent), "--level", "3",
                 "--seed", "42"]) == 0
     args = ["curvature", "--in", str(data), "--max-episodes", "3",
             "--knot-stride", "5", "--out-dir"]
+    eval_args = ["eval", "--in", str(data), "--out-dir"]
     assert run(args + [str(tmp_path / "replayable")]) == 0
+    assert run(eval_args + [str(tmp_path / "replayable_eval")]) == 0
 
     def execute(*args, **kwargs):
-        raise AssertionError("curvature executed an episode")
+        raise AssertionError("a stage executed an episode")
 
     monkeypatch.setattr(ws, "replay_episode", execute)
     monkeypatch.setattr(ws, "execute_actions", execute)
@@ -402,9 +408,44 @@ def test_curvature_reads_outcomes_from_the_records(clean_run, tmp_path,
     for name in ("curvature_series.jsonl", "curvature_analysis.json"):
         assert (out / name).read_bytes() \
             == (tmp_path / "replayable" / name).read_bytes()
+    assert run(eval_args + [str(tmp_path / "patched_eval")]) == 0
+    assert (tmp_path / "patched_eval" / "eval_report.json").read_bytes() \
+        == (tmp_path / "replayable_eval" / "eval_report.json").read_bytes()
     rows = (out / "curvature_series.jsonl").read_text().splitlines()[1:]
     assert [json.loads(row)["outcome"] for row in rows] == [
         mx.classify_outcome(ep) for ep in read_episodes(data)[:3]]
+
+
+def test_eval_reports_the_outcomes_each_record_stores(tmp_path):
+    """Records executed under a shelf moved 0.15 m in x placed their boxes
+    there: eval, like curvature, reports those stored outcomes under the
+    default world.  Re-executing them under the default world (perturb at
+    level 0) keeps every command, and their boxes now drop off the shelf."""
+    world = json.loads(default_data_path("world.json").read_text())
+    world["shelf_center"][0] += 0.15
+    moved = tmp_path / "moved_shelf.json"
+    moved.write_text(json.dumps(world))
+    data = tmp_path / "gen" / "episodes.jsonl"
+    assert run(["gen", "--n", "2", "--seed", "1", "--world", str(moved),
+                "--out-dir", str(data.parent)]) == 0
+    assert run(["eval", "--in", str(data),
+                "--out-dir", str(tmp_path / "eval")]) == 0
+    counts = read_json(tmp_path / "eval" / "eval_report.json")["outcome_counts"]
+    assert counts == {"I": 2, "II": 0, "III": 0, "IV": 0}
+    assert run(["curvature", "--in", str(data), "--knot-stride", "10",
+                "--out-dir", str(tmp_path / "curv")]) == 0
+    assert read_json(tmp_path / "curv" / "curvature_analysis.json")[
+        "category_counts"] == counts
+
+    replayed = tmp_path / "l0" / "episodes.jsonl"
+    assert run(["perturb", "--in", str(data), "--level", "0",
+                "--out-dir", str(replayed.parent)]) == 0
+    for ep, ep0 in zip(read_episodes(replayed), read_episodes(data)):
+        assert np.array_equal(ep.act, ep0.act)
+    assert run(["eval", "--in", str(replayed),
+                "--out-dir", str(tmp_path / "eval_l0")]) == 0
+    assert read_json(tmp_path / "eval_l0" / "eval_report.json")[
+        "outcome_counts"] == {"I": 0, "II": 0, "III": 2, "IV": 0}
 
 
 def test_eval_clean_dataset(clean_run, tmp_path):
@@ -459,17 +500,20 @@ def test_eval_malformed_dataset_is_data_error(clean_run, tmp_path, capsys):
 def test_curvature_rejects_records_not_executed(clean_run, tmp_path, capsys):
     """A record whose observation differs from its previous command, as a
     perturbed record that kept the clean run's observations does, is a data
-    error for curvature, which trusts its stored events."""
+    error for curvature and eval, which trust its stored events."""
     stale = tmp_path / "stale.jsonl"
     eps = read_episodes(clean_run / "episodes.jsonl")
     eps[1].act[eps[1].transport_indices()[3], 0] += 1e-6
     write_episodes(stale, eps)
-    code = run(["curvature", "--in", str(stale),
-                "--out-dir", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert code == EXIT_DATA
-    assert err.startswith("data error: episode 1: ") and err.count("\n") == 1
-    assert not (tmp_path / "o" / "curvature_series.jsonl").exists()
+    for stage, report in (("eval", "eval_report.json"),
+                          ("curvature", "curvature_series.jsonl")):
+        code = run([stage, "--in", str(stale),
+                    "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, stage
+        assert err.startswith("data error: episode 1: ") \
+            and err.count("\n") == 1, err
+        assert not (tmp_path / "o" / report).exists(), stage
 
 
 def test_curvature_analysis_ranges(clean_run, tmp_path):
